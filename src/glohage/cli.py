@@ -38,9 +38,18 @@ def _parse_age_range(text):
 
 
 def build_config(args):
-    """Merge config-file values and CLI flags into a RunConfig."""
-    raw = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    """Merge config-file values and CLI flags into a RunConfig.
 
+    A value that does not parse or is out of range raises InvalidSpecError.
+    """
+    raw = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    try:
+        return _merge_config(raw, args)
+    except ValueError as exc:
+        raise InvalidSpecError(f"bad setting: {exc}") from None
+
+
+def _merge_config(raw, args):
     gp = {}
     for key in ("patch_size", "stride", "n_sectors", "n_orient"):
         if key in raw:

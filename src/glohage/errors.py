@@ -23,6 +23,10 @@ class TruncatedPixelDataError(GlohError):
     code = "TruncatedPixelData"
 
 
+class TrailingDataError(GlohError):
+    code = "TrailingData"
+
+
 class UnsupportedMaxvalError(GlohError):
     code = "UnsupportedMaxval"
 

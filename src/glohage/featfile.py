@@ -5,11 +5,17 @@ dimension K, then N*K float32-LE values, row-major. Row order matches the
 manifest order used at extraction time.
 """
 
+import os
 import struct
 
 import numpy as np
 
-from .errors import MalformedHeaderError, MissingFileError, TruncatedPixelDataError
+from .errors import (
+    MalformedHeaderError,
+    MissingFileError,
+    TrailingDataError,
+    TruncatedPixelDataError,
+)
 
 MAGIC = b"GFV1"
 
@@ -27,18 +33,28 @@ def write_features(path, rows):
 
 
 def read_features(path):
-    """Read a GFV1 file into an (N, K) float32 array."""
+    """Read a GFV1 file into an (N, K) float32 array.
+
+    The body is read straight into the array; a file shorter or longer
+    than its header declares is rejected.
+    """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}")
-    if len(data) < 12 or data[:4] != MAGIC:
-        raise MalformedHeaderError(f"not a GFV1 file: {path}")
-    n, k = struct.unpack("<II", data[4:12])
-    need = 12 + 4 * n * k
-    if len(data) < need:
-        raise TruncatedPixelDataError(
-            f"GFV1 body too short: need {need} bytes, found {len(data)}"
-        )
-    return np.frombuffer(data[12:need], dtype="<f4").reshape(n, k).copy()
+    with fh:
+        header = fh.read(12)
+        if len(header) < 12 or header[:4] != MAGIC:
+            raise MalformedHeaderError(f"not a GFV1 file: {path}")
+        n, k = struct.unpack("<II", header[4:])
+        need = 12 + 4 * n * k
+        size = os.fstat(fh.fileno()).st_size
+        if size < need:
+            raise TruncatedPixelDataError(
+                f"GFV1 body too short: need {need} bytes, found {size}"
+            )
+        if size > need:
+            raise TrailingDataError(
+                f"GFV1 file has {size - need} bytes after its {n}x{k} body"
+            )
+        return np.fromfile(fh, dtype="<f4", count=n * k).reshape(n, k)

@@ -205,7 +205,3 @@ def extract_gloh(img, params=GlohParams()):
         norms = np.linalg.norm(blocks, axis=1)
         blocks[nz] /= norms[nz, None]
     return blocks.ravel()
-
-
-def feature_length(height, width, params=GlohParams()):
-    return len(patch_grid(height, width, params)) * params.per_patch_dim

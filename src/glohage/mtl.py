@@ -10,8 +10,17 @@ solver is accelerated proximal gradient with backtracking line search; a
 cyclic block-coordinate-descent solver is provided as an independent
 reference for testing. Bins whose coefficient row survives thresholding
 are the selected features.
+
+The solver carries the products X_l w_l of its iterates. One iteration
+makes a single full-width product, the gradient X_l^T r_l at the
+extrapolated point; the forward products of each trial step and of the
+accepted iterate read only the nonzero rows of W. Because the loss is
+quadratic, the backtracking test compares sum_l ||X_l d_l||^2 / N_l with
+||d||^2 / (2 step) directly instead of differencing two rounded losses.
+Loss, gradient, objective and solver share one product/residual path.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +28,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     BudgetOutOfRangeError,
+    MalformedRowError,
     NegativeLambdaError,
     NonFiniteError,
     ShapeMismatchError,
@@ -91,32 +101,58 @@ def _check_shapes(W, data):
         raise ShapeMismatchError(f"W shape {W.shape}, expected {(k, len(data))}")
 
 
-def _work_dtype(data):
-    # run big float32 feature matrices in float32; avoids silent upcast
-    # copies of the design matrix on every product
-    return np.result_type(np.float32, *(d.X.dtype for d in data))
+def _nonzero_rows(W):
+    return np.flatnonzero(np.any(W != 0, axis=1))
 
 
-def _smooth_loss(W, data):
-    total = 0.0
+def _row_norms(W):
+    return np.sqrt(np.einsum("ij,ij->i", W, W))
+
+
+def _products(W, data, rows):
+    """X_l w_l for every task, reading only the listed rows of W.
+
+    Products run in X's dtype, so a float32 design matrix is never upcast.
+    When the rows are a quarter of K or more the dense product is used, so
+    no large column copy of X is ever made.
+    """
+    out = []
     for l, d in enumerate(data):
-        r = d.X @ W[:, l].astype(d.X.dtype, copy=False) - d.y
+        if 4 * len(rows) >= d.k:
+            out.append(d.X @ W[:, l].astype(d.X.dtype))
+        else:
+            out.append(d.X[:, rows] @ W[rows, l].astype(d.X.dtype))
+    return out
+
+
+def _loss(P, data):
+    """sum_l ||P_l - y_l||^2 / N_l, accumulated in float64."""
+    total = 0.0
+    for p, d in zip(P, data):
+        r = p - d.y
         total += float(np.dot(r, r)) / d.n
     return total
 
 
+def _grad(P, data, out):
+    """Write (2 / N_l) X_l^T (P_l - y_l) into the columns of ``out``."""
+    for l, (p, d) in enumerate(zip(P, data)):
+        r = np.subtract(p, d.y, dtype=d.X.dtype)
+        out[:, l] = (2.0 / d.n) * (d.X.T @ r)
+    return out
+
+
+def _smooth_loss(W, data):
+    return _loss(_products(W, data, _nonzero_rows(W)), data)
+
+
 def _smooth_grad(W, data):
-    G = np.empty_like(W)
-    for l, d in enumerate(data):
-        w = W[:, l].astype(d.X.dtype, copy=False)
-        r = d.X @ w - d.y.astype(d.X.dtype, copy=False)
-        G[:, l] = (2.0 / d.n) * (d.X.T @ r)
-    return G
+    return _grad(_products(W, data, _nonzero_rows(W)), data, np.empty_like(W))
 
 
 def penalty(W, mode):
     if mode == MODE_MTL:
-        return float(np.sum(np.linalg.norm(W, axis=1)))
+        return float(np.sum(_row_norms(W)))
     return float(np.sum(np.abs(W)))
 
 
@@ -144,13 +180,16 @@ def group_soft_threshold(row, tau):
 
 
 def _prox(V, tau, mode):
+    """Prox of tau * R at V: (result, nonzero-row mask, R(result))."""
     if mode == MODE_STL:
-        return soft_threshold(V, tau)
-    norms = np.linalg.norm(V, axis=1)
-    scale = np.zeros_like(norms)
-    nz = norms > tau
-    scale[nz] = 1.0 - tau / norms[nz]
-    return V * scale[:, None]
+        out = soft_threshold(V, tau)
+        return out, np.any(out != 0, axis=1), float(np.sum(np.abs(out)))
+    norms = _row_norms(V)
+    keep = norms > tau
+    rows = np.flatnonzero(keep)
+    out = np.zeros_like(V)
+    out[rows] = V[rows] * (1.0 - tau / norms[rows])[:, None]
+    return out, keep, float(np.sum(norms[rows])) - tau * len(rows)
 
 
 def lambda_max(data, mode=MODE_MTL):
@@ -168,50 +207,64 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
 
     Momentum weights theta_{t+1} = (1 + sqrt(1 + 4 theta_t^2)) / 2; the
     step is halved until the quadratic upper bound on the smooth part
-    holds at the prox point. Stops on relative objective change below
+    holds at the prox point. The loss is quadratic, so that bound is
+    tested exactly as sum_l ||X_l d_l||^2 / N_l <= ||d||^2 / (2 step) for
+    the step d from the extrapolated point, without subtracting two
+    rounded losses. Stops on relative objective change below
     opts.rel_tol. Returns the best iterate seen, so the result never
     beats the initial point at the objective; starting from zero (the
     default), any lam >= lambda_max returns the exact zero matrix.
+
+    Each iterate carries its products X_l w_l, so the extrapolated
+    point's products cost O(N). An iteration makes one full-width
+    product, the gradient X_l^T r_l; the products of each trial step and
+    of the accepted iterate read only their nonzero rows of W, and the
+    accepted iterate's products are recomputed from W so they never
+    drift. Iterates are float64; products run in X's dtype.
     """
     if lam < 0:
         raise NegativeLambdaError(f"lambda = {lam}")
     k, n_tasks = data[0].k, len(data)
-    dtype = _work_dtype(data)
-    W = (
-        np.zeros((k, n_tasks), dtype=dtype)
-        if w0 is None
-        else np.array(w0, dtype=dtype)
-    )
+    W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
     _check_shapes(W, data)
 
-    W_prev = W.copy()
+    mask = np.any(W != 0, axis=1)
+    P = _products(W, data, np.flatnonzero(mask))
+    W_prev, P_prev, mask_prev = W, P, mask
+    G = np.empty_like(W)
     theta = 1.0
     step = opts.init_step
-    F = objective(W, data, lam, opts.mode)
+    F = _loss(P, data) + lam * penalty(W, opts.mode)
     best_F, best_W = F, W.copy()
 
     for _ in range(opts.max_iters):
-        theta_next = (1.0 + np.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
-        Z = W + ((theta - 1.0) / theta_next) * (W - W_prev)
-        fZ = _smooth_loss(Z, data)
-        G = _smooth_grad(Z, data)
+        theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
+        beta = (theta - 1.0) / theta_next
+        Z = W + beta * (W - W_prev)
+        mask_Z = mask | mask_prev
+        _grad([p + beta * (p - q) for p, q in zip(P, P_prev)], data, G)
 
         while True:
-            W_new = _prox(Z - step * G, step * lam, opts.mode)
-            diff = W_new - Z
-            bound = fZ + float(np.sum(G * diff)) + float(np.sum(diff * diff)) / (
-                2.0 * step
+            W_new, mask_new, pen = _prox(Z - step * G, step * lam, opts.mode)
+            rows = np.flatnonzero(mask_new | mask_Z)
+            D = W_new - Z
+            Dr = D[rows]
+            rhs = float(np.vdot(Dr, Dr)) / (2.0 * step)
+            curv = sum(
+                float(np.dot(x, x)) / d.n
+                for x, d in zip(_products(D, data, rows), data)
             )
-            f_new = _smooth_loss(W_new, data)
-            if f_new <= bound + 1e-12 * max(1.0, abs(bound)):
+            if curv <= rhs + 1e-12 * max(1.0, rhs):
                 break
             step *= opts.step_shrink
             if step < 1e-18:
                 raise NonFiniteError("backtracking step underflow")
 
-        W_prev, W = W, W_new
+        W_prev, P_prev, mask_prev = W, P, mask
+        W, mask = W_new, mask_new
+        P = _products(W, data, np.flatnonzero(mask))
         theta = theta_next
-        F_new = f_new + lam * penalty(W, opts.mode)
+        F_new = _loss(P, data) + lam * pen
         if not np.isfinite(F_new):
             raise NonFiniteError("objective diverged")
         if F_new < best_F:
@@ -342,20 +395,47 @@ def write_selection(path, result):
 
 
 def read_selection(path, n_bins, n_tasks):
-    """Inverse of write_selection; needs the full (K, L) shape to rebuild W."""
+    """Inverse of write_selection; needs the full (K, L) shape to rebuild W.
+
+    Bins must be strictly ascending and inside [0, n_bins), each with
+    exactly n_tasks finite weights; anything else raises a GlohError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    if not lines or lines[0] != "GLOHSEL 1":
+    if (
+        len(lines) < 3
+        or lines[0] != "GLOHSEL 1"
+        or not lines[1].startswith("lambda=")
+        or not lines[2].startswith("epsilon=")
+    ):
         raise ShapeMismatchError(f"not a GLOHSEL file: {path}")
-    lam = float(lines[1].split("=", 1)[1])
-    eps = float(lines[2].split("=", 1)[1])
     W = np.zeros((n_bins, n_tasks))
     selected = []
-    for ln in lines[3:]:
-        if not ln:
-            continue
-        parts = ln.split()
-        k = int(parts[0])
-        W[k] = [float(v) for v in parts[1:]]
-        selected.append(k)
+    lineno = 2
+    try:
+        lam = float(lines[1].split("=", 1)[1])
+        lineno = 3
+        eps = float(lines[2].split("=", 1)[1])
+        for lineno, ln in enumerate(lines[3:], start=4):
+            if not ln:
+                continue
+            parts = ln.split()
+            k = int(parts[0])
+            weights = [float(v) for v in parts[1:]]
+            if len(weights) != n_tasks:
+                raise ShapeMismatchError(
+                    f"{path}:{lineno}: {len(weights)} weights, expected {n_tasks}"
+                )
+            if not 0 <= k < n_bins:
+                raise ShapeMismatchError(
+                    f"{path}:{lineno}: bin {k} outside [0, {n_bins})"
+                )
+            if selected and k <= selected[-1]:
+                raise MalformedRowError(f"{path}:{lineno}: bins not strictly ascending")
+            W[k] = weights
+            selected.append(k)
+    except ValueError:
+        raise MalformedRowError(f"{path}:{lineno}: unparsable value") from None
+    if not (np.isfinite(lam) and np.isfinite(eps) and np.all(np.isfinite(W))):
+        raise NonFiniteError(f"{path}: non-finite lambda, epsilon or weight")
     return SelectionResult(lam, W, np.array(selected, dtype=int), eps)

@@ -15,6 +15,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .errors import (
     FeatureTooShortError,
     GridEmptyError,
+    MalformedRowError,
+    NonFiniteError,
     ShapeMismatchError,
     SingularSystemError,
     TooFewSamplesError,
@@ -87,12 +89,12 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, k=5, seed=0):
     order = np.random.default_rng(seed).permutation(n)
     bounds = np.linspace(0, n, k + 1).astype(int)
     folds = [order[bounds[i] : bounds[i + 1]] for i in range(k)]
+    splits = [(np.setdiff1d(order, fold), fold) for fold in folds]
 
     best_alpha, best_mae = None, np.inf
     for alpha in grid:
         errs = []
-        for fold in folds:
-            train = np.setdiff1d(order, fold)
+        for train, fold in splits:
             w, b = fit_ridge(X[train], y[train], alpha)
             pred = X[fold] @ w + b
             errs.append(np.mean(np.abs(pred - y[fold])))
@@ -171,36 +173,55 @@ def write_model(path, model):
 
 
 def read_model(path):
+    """Inverse of write_model.
+
+    Every task needs alpha, intercept and one ``bin weight`` line per
+    selected bin, the same bins for every task; anything else raises a
+    GlohError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != "GLOHRIDGE 1":
+        lines = [
+            (n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()
+        ]
+    if not lines or lines[0][1] != "GLOHRIDGE 1":
         raise ShapeMismatchError(f"not a GLOHRIDGE file: {path}")
     model = RidgeModel(selected=np.array([], dtype=int))
     task = None
-    bins, weights = [], []
-    clamp = (0.0, 130.0)
-
-    def flush():
-        if task is not None:
-            model.weights[task] = np.array(weights)
-            model.selected = np.array(bins, dtype=int)
-
-    for ln in lines[1:]:
+    bins = {}
+    for lineno, ln in lines[1:]:
         if ln.startswith("task="):
-            flush()
             task = ln.split("=", 1)[1]
-            bins, weights = [], []
-        elif ln.startswith("alpha="):
-            model.alphas[task] = float(ln.split("=", 1)[1])
-        elif ln.startswith("intercept="):
-            model.intercepts[task] = float(ln.split("=", 1)[1])
-        elif ln.startswith("clamp="):
-            lo, hi = ln.split("=", 1)[1].split()
-            clamp = (float(lo), float(hi))
-        else:
-            k, w = ln.split()
-            bins.append(int(k))
-            weights.append(float(w))
-    flush()
-    model.clamp = clamp
+            bins[task], model.weights[task] = [], []
+            continue
+        if task is None:
+            raise MalformedRowError(f"{path}:{lineno}: line before the first task=")
+        try:
+            if ln.startswith("alpha="):
+                model.alphas[task] = float(ln.split("=", 1)[1])
+            elif ln.startswith("intercept="):
+                model.intercepts[task] = float(ln.split("=", 1)[1])
+            elif ln.startswith("clamp="):
+                lo, hi = ln.split("=", 1)[1].split()
+                model.clamp = (float(lo), float(hi))
+            else:
+                k, w = ln.split()
+                if int(k) < 0:
+                    raise MalformedRowError(f"{path}:{lineno}: negative bin {k}")
+                bins[task].append(int(k))
+                model.weights[task].append(float(w))
+        except ValueError:
+            raise MalformedRowError(f"{path}:{lineno}: cannot parse {ln!r}") from None
+    tasks = list(bins)
+    for task in tasks:
+        if task not in model.alphas or task not in model.intercepts:
+            raise MalformedRowError(f"{path}: task {task!r} lacks alpha or intercept")
+        if bins[task] != bins[tasks[0]]:
+            raise ShapeMismatchError(
+                f"{path}: task {task!r} lists other bins than task {tasks[0]!r}"
+            )
+        model.weights[task] = np.array(model.weights[task])
+        if not np.all(np.isfinite(model.weights[task])):
+            raise NonFiniteError(f"{path}: task {task!r} has a non-finite weight")
+    if tasks:
+        model.selected = np.array(bins[tasks[0]], dtype=int)
     return model

@@ -265,3 +265,56 @@ class TestSelectTrainPredict:
              "--selection", sel_path]
         )
         assert rc == 0
+
+
+class TestErrorContract:
+    """Bad input ends in one ``ERROR <code>: <detail>`` line, not a traceback."""
+
+    def run_failing(self, argv, capsys, code):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"ERROR {code}:")
+        assert err.count("\n") == 1
+
+    def test_non_integer_budget_in_config(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("budget = x\n")
+        self.run_failing(
+            ["select", "--manifest", man, "--features", feat,
+             "--out", str(tmp_path / "sel.txt"), "--config", str(cfg)],
+            capsys, "InvalidSpec",
+        )
+
+    def test_two_radii_in_config(self, tmp_path, capsys):
+        man = make_image_corpus(tmp_path, n=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("radii = 1,2\n")
+        self.run_failing(
+            ["extract", "--manifest", man, "--out", str(tmp_path / "f.gfv"),
+             "--config", str(cfg)],
+            capsys, "InvalidSpec",
+        )
+
+    def test_selection_bin_out_of_range(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)  # K = 30
+        sel = tmp_path / "sel.txt"
+        sel.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n30 1.0 2.0\n")
+        self.run_failing(
+            ["train", "--manifest", man, "--features", feat,
+             "--out", str(tmp_path / "model.txt"), "--selection", str(sel)],
+            capsys, "ShapeMismatch",
+        )
+
+    def test_model_weight_line_with_three_fields(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "GLOHRIDGE 1\ntask=pooled\nalpha=1.0\nintercept=30.0\n"
+            "clamp=0.0 69.0\n3 1.0 2.0\n"
+        )
+        self.run_failing(
+            ["predict", "--model", str(model), "--features", feat,
+             "--out", str(tmp_path / "pred.csv")],
+            capsys, "MalformedRow",
+        )

@@ -5,7 +5,9 @@ from scipy.optimize import minimize
 from glohage import mtl
 from glohage.errors import (
     BudgetOutOfRangeError,
+    MalformedRowError,
     NegativeLambdaError,
+    NonFiniteError,
     ShapeMismatchError,
 )
 from glohage.mtl import SolverOptions, TaskDataset
@@ -176,6 +178,54 @@ class TestSolve:
                 assert abs(fd - G[k, l]) / max(1.0, abs(fd)) < 1e-4
 
 
+    def test_float32_warm_start_at_optimum(self):
+        # restarting at a converged float32 solve must not shrink the step
+        # to underflow on rounding noise, nor return a worse point
+        rng = np.random.default_rng(20)
+        data = []
+        for l in range(2):
+            X = rng.standard_normal((120, 600)).astype(np.float32)
+            y = 3.0 * X[:, :8].sum(axis=1) + 40.0 + rng.standard_normal(120)
+            data.append(TaskDataset(f"t{l}", X, y))
+        lam = 0.05 * mtl.lambda_max(data)
+        w0 = mtl.solve(data, lam, SolverOptions(rel_tol=1e-12, max_iters=3000))
+        f0 = mtl.objective(w0, data, lam)
+        W = mtl.solve(data, lam, SolverOptions(rel_tol=1e-12, max_iters=200), w0=w0)
+        assert mtl.objective(W, data, lam) <= f0 + 1e-12 * f0
+
+    @pytest.mark.parametrize("n_rows", [0, 3, 12, 13, 50])
+    def test_row_restricted_products_match_dense(self, n_rows):
+        # K = 50: up to 12 rows take the restricted path, 13 or more the dense one
+        data = random_instance(21)
+        rng = np.random.default_rng(n_rows)
+        rows = np.sort(rng.choice(50, n_rows, replace=False))
+        W = np.zeros((50, 2))
+        W[rows] = rng.standard_normal((n_rows, 2))
+        for p, d, w in zip(mtl._products(W, data, rows), data, W.T):
+            assert np.allclose(p, d.X @ w, rtol=1e-12, atol=1e-12)
+
+    def test_solve_and_smooth_parts_share_helpers(self, monkeypatch):
+        # the gradient check (criterion 6) differentiates _smooth_loss and
+        # _smooth_grad; they must run the same helpers as solve
+        calls = {"_products": 0, "_loss": 0, "_grad": 0}
+        for name in calls:
+            fn = getattr(mtl, name)
+
+            def counted(*args, _fn=fn, _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(mtl, name, counted)
+        data = random_instance(22, K=10, N=12)
+        mtl.solve(data, 0.1 * mtl.lambda_max(data))
+        assert all(calls.values())
+        calls.update(dict.fromkeys(calls, 0))
+        W = np.ones((10, 2))
+        mtl._smooth_loss(W, data)
+        mtl._smooth_grad(W, data)
+        assert calls == {"_products": 2, "_loss": 1, "_grad": 1}
+
+
 class TestCdOracle:
     def test_zero_above_lambda_max(self):
         data = random_instance(13)
@@ -226,6 +276,23 @@ class TestFitForBudget:
         res = mtl.fit_for_budget(data, 10)
         assert np.array_equal(res.selected, mtl.support(res.W, res.epsilon))
         assert len(res.selected) <= 10
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("30 1.0 2.0\n", ShapeMismatchError),  # bin >= K
+        ("3 1.0\n", ShapeMismatchError),  # one weight for two tasks
+        ("3 1.0 2.0\n3 1.0 2.0\n", MalformedRowError),  # repeated bin
+        ("3 1.0 x\n", MalformedRowError),
+        ("3 nan 2.0\n", NonFiniteError),
+    ],
+)
+def test_selection_reader_rejects(tmp_path, body, error):
+    path = tmp_path / "sel.txt"
+    path.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n" + body)
+    with pytest.raises(error):
+        mtl.read_selection(str(path), 30, 2)
 
 
 def test_selection_file_roundtrip(tmp_path):

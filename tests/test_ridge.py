@@ -5,6 +5,8 @@ from glohage import ridge
 from glohage.errors import (
     FeatureTooShortError,
     GridEmptyError,
+    MalformedRowError,
+    NonFiniteError,
     ShapeMismatchError,
     SingularSystemError,
     TooFewSamplesError,
@@ -206,3 +208,25 @@ def test_model_file_roundtrip(tmp_path):
         assert back.intercepts[task] == m.intercepts[task]
         assert back.alphas[task] == m.alphas[task]
     assert open(path).readline().strip() == "GLOHRIDGE 1"
+
+
+@pytest.mark.parametrize(
+    "body, error",
+    [
+        ("task=m\nalpha=1.0\nintercept=2.0\n3 1.0 2.0\n", MalformedRowError),
+        ("alpha=1.0\n", MalformedRowError),  # before any task
+        ("task=m\nalpha=1.0\n3 1.0\n", MalformedRowError),  # no intercept
+        (
+            "task=m\nalpha=1.0\nintercept=2.0\n3 1.0\n"
+            "task=f\nalpha=1.0\nintercept=2.0\n4 1.0\n",
+            ShapeMismatchError,
+        ),
+        ("task=m\nalpha=1.0\nintercept=2.0\n3 inf\n", NonFiniteError),
+        ("task=m\nalpha=1.0\nintercept=2.0\n-3 1.0\n", MalformedRowError),
+    ],
+)
+def test_model_reader_rejects(tmp_path, body, error):
+    path = tmp_path / "model.txt"
+    path.write_text("GLOHRIDGE 1\n" + body)
+    with pytest.raises(error):
+        ridge.read_model(str(path))
