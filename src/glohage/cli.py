@@ -16,16 +16,20 @@ from .errors import GlohError, InvalidSpecError
 
 def _parse_config_file(path):
     """Flat 'key = value' file; '#' starts a comment, blank lines ignored."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = list(fh)
+    except UnicodeDecodeError:
+        raise InvalidSpecError(f"{path}: not UTF-8 text") from None
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise InvalidSpecError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key] = value
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise InvalidSpecError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        values[key] = value
     return values
 
 
@@ -244,6 +248,9 @@ def main(argv=None):
         return 1
     except FileNotFoundError as exc:
         print(f"ERROR MissingFile: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"ERROR FileAccess: {exc}", file=sys.stderr)
         return 1
     return 0
 

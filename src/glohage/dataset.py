@@ -61,6 +61,8 @@ def parse_manifest(path):
             rows = list(csv.reader(fh))
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}")
+    except UnicodeDecodeError:
+        raise MalformedRowError(f"{path}: not UTF-8 text") from None
     if not rows or rows[0] != ["path", "person_id", "age", "gender"]:
         raise MalformedRowError("missing or wrong manifest header")
 

@@ -179,10 +179,13 @@ def read_model(path):
     selected bin, the same bins for every task; anything else raises a
     GlohError.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [
-            (n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()
-        ]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [
+                (n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()
+            ]
+    except UnicodeDecodeError:
+        raise MalformedRowError(f"{path}: not UTF-8 text") from None
     if not lines or lines[0][1] != "GLOHRIDGE 1":
         raise ShapeMismatchError(f"not a GLOHRIDGE file: {path}")
     model = RidgeModel(selected=np.array([], dtype=int))

@@ -1,0 +1,95 @@
+"""Reference solvers that the tests compare the package against.
+
+Plain, slow implementations kept out of the package: the group
+soft-threshold of one row (the prox of its Euclidean norm) and a cyclic
+block-coordinate-descent solver for the selection problem.
+"""
+
+import numpy as np
+from scipy.optimize import brentq
+
+from glohage.errors import NegativeLambdaError
+from glohage.mtl import (
+    MODE_STL,
+    SolverOptions,
+    _check_shapes,
+    objective,
+    soft_threshold,
+)
+
+
+def group_soft_threshold(row, tau):
+    """Shrink a row toward zero by tau in Euclidean norm; zero it if shorter."""
+    row = np.asarray(row, dtype=np.float64)
+    norm = np.linalg.norm(row)
+    if norm <= tau:
+        return np.zeros_like(row)
+    return row * (1.0 - tau / norm)
+
+
+def _cd_row_update(b, a, lam):
+    """Minimize sum_l (a_l/2) u_l^2 - b_l u_l + lam * ||u||_2 over the row u."""
+    bnorm = np.linalg.norm(b)
+    if bnorm <= lam:
+        return np.zeros_like(b)
+
+    def g(nu):
+        return float(np.linalg.norm(b * nu / (a * nu + lam)))
+
+    ub = 1.0
+    while g(ub) > ub:
+        ub *= 2.0
+    lo = 1e-16 * ub
+    nu = brentq(lambda t: g(t) - t, lo, ub, xtol=1e-14, rtol=1e-14)
+    return b * nu / (a * nu + lam)
+
+
+def solve_cd_oracle(data, lam, opts=SolverOptions()):
+    """Cyclic block-coordinate descent reference solver (test oracle).
+
+    Each row update solves its one-row subproblem to first-order
+    optimality (scalar root-find for the row norm in mtl mode, closed
+    form shrinkage in stl mode). Intended for small instances only.
+    """
+    if lam < 0:
+        raise NegativeLambdaError(f"lambda = {lam}")
+    k, n_tasks = data[0].k, len(data)
+    W = np.zeros((k, n_tasks))
+    _check_shapes(W, data)
+    X = [np.asarray(d.X, dtype=np.float64) for d in data]
+    # a[l, k] = (2/N_l) ||column k||^2 ; columns of zeros never activate
+    a = np.column_stack([(2.0 / d.n) * np.sum(x * x, axis=0) for d, x in zip(data, X)])
+    res = [d.y.astype(np.float64).copy() for d in data]  # y - X w
+
+    F = objective(W, data, lam, opts.mode)
+    for _ in range(opts.max_iters):
+        for kk in range(k):
+            old = W[kk].copy()
+            # b_l = (2/N_l) <x_k, y - X w + x_k w_k>
+            b = np.array(
+                [
+                    (2.0 / data[l].n) * float(X[l][:, kk] @ res[l])
+                    + a[kk, l] * old[l]
+                    for l in range(n_tasks)
+                ]
+            )
+            if opts.mode == MODE_STL:
+                new = np.where(
+                    a[kk] > 0, soft_threshold(b, lam) / np.where(a[kk] > 0, a[kk], 1.0), 0.0
+                )
+            else:
+                if np.all(a[kk] == 0):
+                    new = np.zeros(n_tasks)
+                else:
+                    new = _cd_row_update(b, a[kk], lam)
+            delta = old - new
+            if np.any(delta != 0):
+                for l in range(n_tasks):
+                    if delta[l] != 0:
+                        res[l] += X[l][:, kk] * delta[l]
+                W[kk] = new
+        F_new = objective(W, data, lam, opts.mode)
+        if abs(F_new - F) / max(1.0, abs(F)) < opts.rel_tol:
+            break
+        F = F_new
+    return W

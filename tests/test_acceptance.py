@@ -15,6 +15,8 @@ from glohage import cli, featfile, gloh, metrics, mtl, pgm, pipeline, ridge
 from glohage import dataset as ds
 from glohage.mtl import SolverOptions, TaskDataset
 
+import oracles
+
 TIGHT = SolverOptions(rel_tol=1e-9, max_iters=5000)
 
 
@@ -55,7 +57,7 @@ def test_criterion_02_prox_oracle():
         L = int(rng.integers(1, 5))
         v = 3.0 * rng.standard_normal(L)
         tau = float(rng.uniform(0, 4))
-        p = mtl.group_soft_threshold(v, tau)
+        p = oracles.group_soft_threshold(v, tau)
 
         def f(u):
             return 0.5 * np.sum((u - v) ** 2) + tau * np.linalg.norm(u)
@@ -76,7 +78,7 @@ def test_criterion_03_solver_vs_oracle():
         data = random_instance(seed)
         lam = 0.3 * mtl.lambda_max(data)
         f1 = mtl.objective(mtl.solve(data, lam, TIGHT), data, lam)
-        f2 = mtl.objective(mtl.solve_cd_oracle(data, lam, TIGHT), data, lam)
+        f2 = mtl.objective(oracles.solve_cd_oracle(data, lam, TIGHT), data, lam)
         worst = max(worst, abs(f1 - f2) / f2)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-5

@@ -318,3 +318,29 @@ class TestErrorContract:
              "--out", str(tmp_path / "pred.csv")],
             capsys, "MalformedRow",
         )
+
+    def test_manifest_not_utf8(self, tmp_path, capsys):
+        man = tmp_path / "manifest.csv"
+        man.write_bytes(b"path,person_id,age,gender\nface\xff.pgm,p0,20,m\n")
+        self.run_failing(
+            ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")],
+            capsys, "MalformedRow",
+        )
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        man = make_image_corpus(tmp_path, n=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"budget = \xff\n")
+        self.run_failing(
+            ["extract", "--manifest", man, "--out", str(tmp_path / "f.gfv"),
+             "--config", str(cfg)],
+            capsys, "InvalidSpec",
+        )
+
+    def test_model_is_a_directory(self, tmp_path, capsys):
+        _, feat = make_feature_corpus(tmp_path)
+        self.run_failing(
+            ["predict", "--model", str(tmp_path), "--features", feat,
+             "--out", str(tmp_path / "pred.csv")],
+            capsys, "FileAccess",
+        )

@@ -12,6 +12,8 @@ from glohage.errors import (
 )
 from glohage.mtl import SolverOptions, TaskDataset
 
+import oracles
+
 TIGHT = SolverOptions(rel_tol=1e-9, max_iters=5000)
 TIGHT_STL = SolverOptions(rel_tol=1e-9, max_iters=5000, mode=mtl.MODE_STL)
 
@@ -62,18 +64,18 @@ class TestObjective:
 
 class TestProx:
     def test_group_norm_equals_tau(self):
-        assert np.allclose(mtl.group_soft_threshold(np.array([3.0, 4.0]), 5.0), 0)
+        assert np.allclose(oracles.group_soft_threshold(np.array([3.0, 4.0]), 5.0), 0)
 
     def test_group_half_shrink(self):
-        out = mtl.group_soft_threshold(np.array([3.0, 4.0]), 2.5)
+        out = oracles.group_soft_threshold(np.array([3.0, 4.0]), 2.5)
         assert np.allclose(out, [1.5, 2.0])
 
     def test_group_tau_zero_identity(self):
         v = np.array([1.0, -2.0, 0.5])
-        assert np.allclose(mtl.group_soft_threshold(v, 0.0), v)
+        assert np.allclose(oracles.group_soft_threshold(v, 0.0), v)
 
     def test_group_zero_row(self):
-        assert np.allclose(mtl.group_soft_threshold(np.zeros(3), 0.0), 0)
+        assert np.allclose(oracles.group_soft_threshold(np.zeros(3), 0.0), 0)
 
     def test_scalar_examples(self):
         assert mtl.soft_threshold(5.0, 2.0) == pytest.approx(3.0)
@@ -86,7 +88,7 @@ class TestProx:
         for _ in range(25):
             v = 3.0 * rng.standard_normal(3)
             tau = float(rng.uniform(0, 4))
-            p = mtl.group_soft_threshold(v, tau)
+            p = oracles.group_soft_threshold(v, tau)
 
             def f(u):
                 return 0.5 * np.sum((u - v) ** 2) + tau * np.linalg.norm(u)
@@ -140,7 +142,7 @@ class TestSolve:
         data = random_instance(9)
         lam = 0.3 * mtl.lambda_max(data)
         f1 = mtl.objective(mtl.solve(data, lam, TIGHT), data, lam)
-        f2 = mtl.objective(mtl.solve_cd_oracle(data, lam, TIGHT), data, lam)
+        f2 = mtl.objective(oracles.solve_cd_oracle(data, lam, TIGHT), data, lam)
         assert abs(f1 - f2) / f2 < 1e-5
 
     def test_matches_cd_oracle_stl(self):
@@ -150,7 +152,7 @@ class TestSolve:
             mtl.solve(data, lam, TIGHT_STL), data, lam, mtl.MODE_STL
         )
         f2 = mtl.objective(
-            mtl.solve_cd_oracle(data, lam, TIGHT_STL), data, lam, mtl.MODE_STL
+            oracles.solve_cd_oracle(data, lam, TIGHT_STL), data, lam, mtl.MODE_STL
         )
         assert abs(f1 - f2) / f2 < 1e-5
 
@@ -226,11 +228,73 @@ class TestSolve:
         assert calls == {"_products": 2, "_loss": 1, "_grad": 1}
 
 
+class TestWorkingSet:
+    """solve grows a working set of rows; _fista is the full-width solver."""
+
+    @staticmethod
+    def spy_fista(monkeypatch):
+        widths = []
+        fista = mtl._fista
+
+        def spy(data, *args):
+            widths.append(data[0].k)
+            return fista(data, *args)
+
+        monkeypatch.setattr(mtl, "_fista", spy)
+        return widths
+
+    @staticmethod
+    def kkt_scores(W, data, mode):
+        G = mtl._smooth_grad(W, data)
+        if mode == mtl.MODE_MTL:
+            return np.linalg.norm(G, axis=1)
+        return np.max(np.abs(G), axis=1)
+
+    @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
+    @pytest.mark.parametrize("frac, fallback", [(0.6, False), (0.3, False), (0.02, True)])
+    def test_matches_full_width_fista(self, monkeypatch, mode, frac, fallback):
+        opts = SolverOptions(rel_tol=1e-9, max_iters=5000, mode=mode)
+        for seed in range(3):
+            data = random_instance(30 + seed, K=300, N=40)
+            lam = frac * mtl.lambda_max(data, mode)
+            f_full = mtl.objective(
+                mtl._fista(data, lam, opts, np.zeros((300, 2))), data, lam, mode
+            )
+            widths = self.spy_fista(monkeypatch)
+            W = mtl.solve(data, lam, opts)
+            monkeypatch.undo()
+            assert mtl.objective(W, data, lam, mode) <= f_full * (1 + 1e-4)
+            # the last pass runs on all K columns only after the K/4 fallback
+            assert (widths[-1] == 300) == fallback
+            assert all(w < 300 for w in widths[:-1])
+            zero = ~np.any(W != 0, axis=1)
+            assert np.all(self.kkt_scores(W, data, mode)[zero] <= lam * (1 + 1e-3))
+
+    def test_warm_start_never_worse(self):
+        data = random_instance(33, K=300, N=40)
+        lam = 0.3 * mtl.lambda_max(data)
+        w0 = mtl.solve(data, 0.5 * lam, SolverOptions(max_iters=20))
+        W = mtl.solve(data, lam, w0=w0)
+        assert mtl.objective(W, data, lam) <= mtl.objective(w0, data, lam)
+
+    @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
+    def test_no_fista_at_lambda_max(self, monkeypatch, mode):
+        widths = self.spy_fista(monkeypatch)
+        for seed in range(5):
+            data = random_instance(seed, K=300)
+            # lambda_max and the solver's gradient may round apart by an ulp
+            lam = mtl.lambda_max(data, mode) * (1 + 1e-12)
+            opts = SolverOptions(mode=mode)
+            assert np.all(mtl.solve(data, lam, opts) == 0)
+            assert np.all(mtl.solve(data, 2 * lam, opts) == 0)
+        assert widths == []
+
+
 class TestCdOracle:
     def test_zero_above_lambda_max(self):
         data = random_instance(13)
         lam = mtl.lambda_max(data) * (1 + 1e-6)
-        assert np.all(mtl.solve_cd_oracle(data, lam) == 0)
+        assert np.all(oracles.solve_cd_oracle(data, lam) == 0)
 
     def test_one_feature_one_task_closed_form(self):
         rng = np.random.default_rng(14)
@@ -238,7 +302,7 @@ class TestCdOracle:
         y = rng.standard_normal(20)
         data = [TaskDataset("a", x[:, None], y)]
         lam = 0.5 * mtl.lambda_max(data)
-        W = mtl.solve_cd_oracle(data, lam, TIGHT)
+        W = oracles.solve_cd_oracle(data, lam, TIGHT)
         n = len(y)
         b = (2.0 / n) * float(x @ y)
         a = (2.0 / n) * float(x @ x)
@@ -277,6 +341,40 @@ class TestFitForBudget:
         assert np.array_equal(res.selected, mtl.support(res.W, res.epsilon))
         assert len(res.selected) <= 10
 
+    def test_bracket_stop_keeps_plain_bisection_bins(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        X = rng.standard_normal((80, 400))
+        w = np.zeros(400)
+        w[rng.choice(400, 12, replace=False)] = rng.uniform(1, 2, 12)
+        data = [
+            TaskDataset("a", X[:40], X[:40] @ w + 0.5 * rng.standard_normal(40)),
+            TaskDataset("b", X[40:], X[40:] @ w + 0.5 * rng.standard_normal(40)),
+        ]
+        budget = 10
+
+        # plain bisection: 40 warm-started solves, no early stop
+        lo, hi = 0.0, mtl.lambda_max(data)
+        best, best_lam, W = np.array([], dtype=int), hi, None
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            W = mtl.solve(data, mid, w0=W)
+            S = mtl.support(W)
+            if len(S) <= budget:
+                hi = mid
+                if len(S) > len(best) or (len(S) == len(best) and mid < best_lam):
+                    best, best_lam = S, mid
+            else:
+                lo = mid
+
+        calls = []
+        solve = mtl.solve
+        monkeypatch.setattr(
+            mtl, "solve", lambda *a, **kw: calls.append(1) or solve(*a, **kw)
+        )
+        res = mtl.fit_for_budget(data, budget, max_bisect=40)
+        assert len(calls) < 40
+        assert np.array_equal(res.selected, best)
+
 
 @pytest.mark.parametrize(
     "body, error",
@@ -307,3 +405,10 @@ def test_selection_file_roundtrip(tmp_path):
     assert np.allclose(back.W, res.W)
     header = open(path).readline().strip()
     assert header == "GLOHSEL 1"
+
+
+def test_selection_reader_rejects_non_utf8(tmp_path):
+    path = tmp_path / "sel.txt"
+    path.write_bytes(b"GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 \xff\n")
+    with pytest.raises(MalformedRowError, match="sel.txt"):
+        mtl.read_selection(str(path), 30, 2)

@@ -230,3 +230,10 @@ def test_model_reader_rejects(tmp_path, body, error):
     path.write_text("GLOHRIDGE 1\n" + body)
     with pytest.raises(error):
         ridge.read_model(str(path))
+
+
+def test_model_reader_rejects_non_utf8(tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_bytes(b"GLOHRIDGE 1\ntask=m\xff\n")
+    with pytest.raises(MalformedRowError, match="model.txt"):
+        ridge.read_model(str(path))
