@@ -75,33 +75,51 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, k=5, seed=0):
     """k-fold cross-validated MAE over an alpha grid; ties go to larger alpha.
 
     Folds are contiguous blocks of a seeded shuffle, so the choice is
-    deterministic for a given seed.
+    deterministic for a given seed. A one-value grid is returned without
+    cross-validation. Each training split is centered and its Gram matrix
+    Xc^T Xc = V diag(e) V^T is decomposed once; the ridge weights of every
+    alpha follow as V diag(1 / (e + alpha)) V^T Xc^T yc. A grid value that
+    leaves e + alpha numerically singular on a split raises
+    SingularSystemError, as fit_ridge would.
     """
     grid = list(grid)
     if not grid:
         raise GridEmptyError("empty alpha grid")
+    if min(grid) < 0:
+        raise ValueError(f"alpha must be nonnegative, got {min(grid)}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     if k < 2 or n < k:
         raise TooFewSamplesError(f"{n} samples cannot form {k} folds")
+    if len(grid) == 1:
+        return grid[0]
 
     order = np.random.default_rng(seed).permutation(n)
     bounds = np.linspace(0, n, k + 1).astype(int)
-    folds = [order[bounds[i] : bounds[i + 1]] for i in range(k)]
-    splits = [(np.setdiff1d(order, fold), fold) for fold in folds]
+    alphas = np.array(grid, dtype=np.float64)
+    mae = np.zeros(len(grid))
+    for i in range(k):
+        fold = order[bounds[i] : bounds[i + 1]]
+        train = np.setdiff1d(order, fold)
+        Xt, yt = X[train], y[train]
+        x_mean, y_mean = Xt.mean(axis=0), yt.mean()
+        Xc = Xt - x_mean
+        e, V = np.linalg.eigh(Xc.T @ Xc)
+        shifted = e[:, None] + alphas  # (bins, alphas)
+        # the rank tolerance of numpy's matrix_rank
+        tol = np.finfo(np.float64).eps * len(e) * np.abs(e).max(initial=0.0)
+        singular = np.any(shifted <= tol, axis=0)
+        if singular.any():
+            raise SingularSystemError(
+                f"normal equations singular (alpha={alphas[singular][0]}); "
+                "increase alpha"
+            )
+        W = V @ ((V.T @ (Xc.T @ (yt - y_mean)))[:, None] / shifted)
+        pred = (X[fold] - x_mean) @ W + y_mean
+        mae += np.mean(np.abs(pred - y[fold][:, None]), axis=0)
 
-    best_alpha, best_mae = None, np.inf
-    for alpha in grid:
-        errs = []
-        for train, fold in splits:
-            w, b = fit_ridge(X[train], y[train], alpha)
-            pred = X[fold] @ w + b
-            errs.append(np.mean(np.abs(pred - y[fold])))
-        mean_mae = float(np.mean(errs))
-        if mean_mae < best_mae or (mean_mae == best_mae and alpha > best_alpha):
-            best_alpha, best_mae = alpha, mean_mae
-    return best_alpha
+    return grid[max(range(len(grid)), key=lambda j: (-mae[j], grid[j]))]
 
 
 def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, cv_folds=5, seed=0):
@@ -110,38 +128,32 @@ def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, cv_folds=5, se
     ``task_data`` maps task label -> (X_full, y) where X_full has the full
     feature dimension; columns outside ``selected`` are ignored. The pooled
     model under the key "pooled" is fit on the union of all tasks' samples
-    and serves rows whose task label is unknown at prediction time.
+    and serves rows whose task label is unknown at prediction time. A task
+    with fewer samples than ``cv_folds`` takes the middle of the grid.
     """
     selected = np.asarray(selected, dtype=int)
     model = RidgeModel(selected=selected)
-    all_X, all_y = [], []
-    for task, (X_full, y) in task_data.items():
-        Xs = np.asarray(X_full, dtype=np.float64)[:, selected]
-        all_X.append(Xs)
-        all_y.append(np.asarray(y, dtype=np.float64))
-        alpha = _pick_alpha(Xs, y, alpha_grid, cv_folds, seed)
+    fits = [
+        (task, np.asarray(X_full)[:, selected].astype(np.float64),
+         np.asarray(y, dtype=np.float64))
+        for task, (X_full, y) in task_data.items()
+    ]
+    fits.append(
+        (POOLED, np.vstack([f[1] for f in fits]), np.concatenate([f[2] for f in fits]))
+    )
+    for task, Xs, y in fits:
+        try:
+            alpha = select_alpha(Xs, y, alpha_grid, cv_folds, seed)
+        except TooFewSamplesError:
+            grid = list(alpha_grid)
+            alpha = grid[len(grid) // 2]  # too few samples to cross-validate
         w, b = fit_ridge(Xs, y, alpha)
         model.weights[task] = w
         model.intercepts[task] = b
         model.alphas[task] = alpha
-    X_pool = np.vstack(all_X)
-    y_pool = np.concatenate(all_y)
-    alpha = _pick_alpha(X_pool, y_pool, alpha_grid, cv_folds, seed)
-    w, b = fit_ridge(X_pool, y_pool, alpha)
-    model.weights[POOLED] = w
-    model.intercepts[POOLED] = b
-    model.alphas[POOLED] = alpha
+    y_pool = fits[-1][2]
     model.clamp = (float(y_pool.min()), float(y_pool.max()))
     return model
-
-
-def _pick_alpha(X, y, grid, k, seed):
-    grid = list(grid)
-    if len(grid) == 1:
-        return grid[0]
-    if len(y) < max(k, 2):
-        return grid[len(grid) // 2]  # too few samples to cross-validate
-    return select_alpha(X, y, grid, k=min(k, len(y)), seed=seed)
 
 
 def predict(model, x, task=POOLED):

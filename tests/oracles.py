@@ -1,8 +1,9 @@
 """Reference solvers that the tests compare the package against.
 
 Plain, slow implementations kept out of the package: the group
-soft-threshold of one row (the prox of its Euclidean norm) and a cyclic
-block-coordinate-descent solver for the selection problem.
+soft-threshold of one row (the prox of its Euclidean norm), a cyclic
+block-coordinate-descent solver for the selection problem, and ridge
+cross-validation with one Cholesky fit per alpha and fold.
 """
 
 import numpy as np
@@ -16,6 +17,7 @@ from glohage.mtl import (
     objective,
     soft_threshold,
 )
+from glohage.ridge import fit_ridge
 
 
 def group_soft_threshold(row, tau):
@@ -93,3 +95,27 @@ def solve_cd_oracle(data, lam, opts=SolverOptions()):
             break
         F = F_new
     return W
+
+
+def select_alpha_oracle(X, y, grid, k=5, seed=0):
+    """k-fold cross-validated MAE over an alpha grid, one fit_ridge per alpha
+    and fold; ties go to larger alpha. Same folds as ridge.select_alpha."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n = len(y)
+    order = np.random.default_rng(seed).permutation(n)
+    bounds = np.linspace(0, n, k + 1).astype(int)
+    folds = [order[bounds[i] : bounds[i + 1]] for i in range(k)]
+    splits = [(np.setdiff1d(order, fold), fold) for fold in folds]
+
+    best_alpha, best_mae = None, np.inf
+    for alpha in grid:
+        errs = []
+        for train, fold in splits:
+            w, b = fit_ridge(X[train], y[train], alpha)
+            pred = X[fold] @ w + b
+            errs.append(np.mean(np.abs(pred - y[fold])))
+        mean_mae = float(np.mean(errs))
+        if mean_mae < best_mae or (mean_mae == best_mae and alpha > best_alpha):
+            best_alpha, best_mae = alpha, mean_mae
+    return best_alpha

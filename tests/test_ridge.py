@@ -13,6 +13,8 @@ from glohage.errors import (
     UnknownTaskError,
 )
 
+import oracles
+
 
 def dense_oracle(X, y, alpha):
     """Explicit inverse-based ridge solution on centered data."""
@@ -118,6 +120,33 @@ class TestSelectAlpha:
         with pytest.raises(TooFewSamplesError):
             ridge.select_alpha(np.zeros((3, 1)), np.zeros(3), [1.0], k=5)
 
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [(40, 5, 20), (97, 50, 21), (195, 50, 22), (30, 45, 23), (25, 0, 24)],
+    )
+    def test_matches_cholesky_oracle(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        grid = ridge.DEFAULT_ALPHA_GRID
+        for trial in range(5):
+            X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10)
+            y = X @ rng.standard_normal(p) + rng.uniform(0.5, 5) * rng.standard_normal(n)
+            assert ridge.select_alpha(X, y, grid, k=5, seed=trial) == (
+                oracles.select_alpha_oracle(X, y, grid, k=5, seed=trial)
+            )
+
+    def test_empty_selection_ties_go_to_larger_alpha(self):
+        y = np.random.default_rng(25).standard_normal(20)
+        assert ridge.select_alpha(np.zeros((20, 0)), y, [0.1, 10.0, 1.0]) == 10.0
+
+    def test_zero_alpha_on_rank_deficient_split(self):
+        rng = np.random.default_rng(26)
+        X = rng.standard_normal((20, 3))
+        X = np.column_stack([X, X[:, 0] + X[:, 1]])  # rank 3 of 4
+        y = rng.standard_normal(20)
+        with pytest.raises(SingularSystemError):
+            ridge.select_alpha(X, y, [0.0, 1.0])
+        assert ridge.select_alpha(X, y, [0.1, 1.0]) in (0.1, 1.0)
+
 
 def make_model(selected, weights, intercept, clamp=(0.0, 69.0), task="male"):
     m = ridge.RidgeModel(selected=np.asarray(selected, dtype=int))
@@ -181,6 +210,14 @@ class TestFitModel:
         assert set(model.weights) == {"male", "female", ridge.POOLED}
         pred = ridge.predict(model, X1[0], "male")
         assert pred == pytest.approx(float(X1[0] @ w + 30), abs=0.5)
+
+    def test_too_few_samples_take_the_middle_of_the_grid(self):
+        rng = np.random.default_rng(27)
+        X = rng.standard_normal((3, 4))
+        model = ridge.fit_model(
+            np.array([0, 2]), {"male": (X, X[:, 0] + 30)}, alpha_grid=[0.1, 1.0, 10.0]
+        )
+        assert model.alphas == {"male": 1.0, ridge.POOLED: 1.0}
 
     def test_empty_selection_intercept_only(self):
         rng = np.random.default_rng(12)
