@@ -26,9 +26,6 @@ Loss, gradient, objective and solver share one product/residual path.
 
 ``fit_for_budget`` bisects on lambda until the bin budget is met and
 stops once the bracket is narrower than the solver's relative tolerance.
-Given the selection of a nearby problem (the full data, for a
-leave-one-person-out fold) it first steps lambda out from that selection's
-lambda and coefficients to a narrow bracket.
 """
 
 import math
@@ -195,9 +192,9 @@ def _prox(V, tau, mode):
 
 def lambda_max(data, mode=MODE_MTL):
     """Smallest lambda for which the all-zero W is optimal."""
-    G = np.column_stack(
-        [(2.0 / d.n) * (d.X.T @ d.y).astype(np.float64) for d in data]
-    )
+    # einsum sums float32 X against float64 y in float64 over blocks of X; a
+    # mixed-dtype matmul would first copy all of X to float64
+    G = np.column_stack([(2.0 / d.n) * np.einsum("nk,n->k", d.X, d.y) for d in data])
     if mode == MODE_MTL:
         return float(np.max(np.linalg.norm(G, axis=1)))
     return float(np.max(np.abs(G)))
@@ -312,17 +309,12 @@ def _fista(data, lam, opts, w0):
     return best_W
 
 
-_START_STEP = 1.05  # first lambda step of a search from a start
-
-
 def support(W, epsilon=1e-8):
     """Ascending indices of rows with Euclidean norm above epsilon."""
     return np.flatnonzero(np.linalg.norm(np.atleast_2d(W), axis=1) > epsilon)
 
 
-def fit_for_budget(
-    data, budget, opts=SolverOptions(), epsilon=1e-8, max_bisect=40, start=None
-):
+def fit_for_budget(data, budget, opts=SolverOptions(), epsilon=1e-8, max_bisect=40):
     """Pick lambda by bisection so at most ``budget`` bins are selected.
 
     Searches [0, lambda_max]; each solve warm-starts from the previous
@@ -332,22 +324,6 @@ def fit_for_budget(
     [lo, hi] is no wider than opts.rel_tol * hi: moving lambda that little
     changes the penalty term lambda * R(W) by less than the solver's own
     relative tolerance.
-
-    ``start`` (anything with ``lam`` and ``W``, such as the SelectionResult
-    of a nearby problem) moves where the search begins. The first solve is
-    at min(start.lam, lambda_max / 1.05) from start.W. While the support
-    fits the budget, lambda steps down and each solved lambda becomes
-    ``hi``; while it does not, lambda steps up and each becomes ``lo``. The
-    first step is a factor of 1.05 and each further step squares the
-    factor. Stepping ends once the support crosses the budget, or once the
-    next factor would exceed 2 or the next lambda would reach lambda_max:
-    the bracket then still ends at lambda_max above or at lo = 0 below,
-    and the first bisection halves it. The bisection then runs as without
-    a start, and the stepping solves count against ``max_bisect``. A start
-    with lam = 0 or no selected bin is ignored. The bracket and the
-    returned bins are decided on ``data`` alone; in leave-one-person-out
-    evaluation the start is the full-data selection, so the held-out
-    person affects only where the search begins.
     """
     k = data[0].k
     if not (1 <= budget <= k):
@@ -359,35 +335,22 @@ def fit_for_budget(
         return best
 
     lo, hi = 0.0, lam_hi
-    W_warm, lam, factor, down = None, None, None, None
-    if start is not None and start.lam > 0 and len(support(start.W, epsilon)):
-        W_warm, lam = start.W, min(start.lam, lam_hi / _START_STEP)
-        factor = _START_STEP
+    W_warm = None
     for _ in range(max_bisect):
-        if lam is None:
-            if hi - lo <= opts.rel_tol * hi:
-                break
-            lam = 0.5 * (lo + hi)
-        W = solve(data, lam, opts, w0=W_warm)
+        if hi - lo <= opts.rel_tol * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        W = solve(data, mid, opts, w0=W_warm)
         W_warm = W
         S = support(W, epsilon)
-        fits = len(S) <= budget
-        if fits:
-            hi = lam
+        if len(S) <= budget:
+            hi = mid
             if len(S) > len(best.selected) or (
-                len(S) == len(best.selected) and lam < best.lam
+                len(S) == len(best.selected) and mid < best.lam
             ):
-                best = SelectionResult(lam, W.copy(), S, epsilon)
+                best = SelectionResult(mid, W.copy(), S, epsilon)
         else:
-            lo = lam
-        lam = None
-        if factor is not None:  # stepping out from the start
-            down = fits if down is None else down
-            nxt = hi / factor if fits else lo * factor
-            if fits == down and factor <= 2.0 and nxt < lam_hi:
-                lam, factor = nxt, factor * factor
-            else:
-                factor = None
+            lo = mid
     return best
 
 

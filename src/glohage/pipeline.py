@@ -72,24 +72,14 @@ def _centered_labels(tasks):
     ]
 
 
-def select_bins(manifest, features, config=RunConfig(), rows=None, tasks=None,
-                start=None):
-    """Fit the sparse selection on the given rows (default: all).
-
-    ``tasks`` are those rows' TaskDatasets if the caller has already built
-    them; ``start`` is passed on to mtl.fit_for_budget.
-    """
+def select_bins(manifest, features, config=RunConfig(), tasks=None):
+    """Fit the sparse selection on ``tasks`` (default: all rows' tasks)."""
     if tasks is None:
-        if rows is None:
-            rows = range(len(manifest.samples))
-        tasks = ds.partition_by_task(rows, manifest, features)
-    return mtl.fit_for_budget(
-        _centered_labels(tasks), config.budget, config.solver, start=start
-    )
+        tasks = ds.partition_by_task(range(len(manifest.samples)), manifest, features)
+    return mtl.fit_for_budget(_centered_labels(tasks), config.budget, config.solver)
 
 
-def train_model(manifest, features, config=RunConfig(), selection=None, rows=None,
-                start=None):
+def train_model(manifest, features, config=RunConfig(), selection=None, rows=None):
     """Selection (unless given) followed by per-task ridge regressors.
 
     The rows are split into tasks once, for both fits.
@@ -98,7 +88,7 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
         rows = range(len(manifest.samples))
     tasks = ds.partition_by_task(rows, manifest, features)
     if selection is None:
-        selection = select_bins(manifest, features, config, tasks=tasks, start=start)
+        selection = select_bins(manifest, features, config, tasks)
     task_data = {t.task_id: (t.X, t.y) for t in tasks}
     model = ridge.fit_model(
         selection.selected, task_data, config.alpha_grid, seed=config.seed
@@ -130,13 +120,6 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
         )
     manifest, features = _filter_age_range(manifest, features, config.age_range)
     folds = ds.split_lopo(manifest)
-    # each fold drops one person, so the full-data selection is where every
-    # fold's lambda search starts; the fold's own rows decide its bins
-    start = select_bins(
-        manifest,
-        _standardized(features, slice(None)) if config.standardize else features,
-        config,
-    )
     results = []
     for fold in folds:
         feats = (
@@ -144,9 +127,7 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
             if config.standardize
             else features
         )
-        _, model = train_model(
-            manifest, feats, config, rows=fold.train_rows, start=start
-        )
+        _, model = train_model(manifest, feats, config, rows=fold.train_rows)
         preds = predict_rows(model, feats, manifest, fold.test_rows)
         truth = np.array(
             [manifest.samples[r].age for r in fold.test_rows], dtype=np.float64

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from glohage import dataset as ds
 from glohage import mtl
 from glohage.errors import (
     BudgetOutOfRangeError,
@@ -122,6 +121,16 @@ class TestLambdaMax:
             max(np.linalg.norm(G[k]) for k in range(10))
         )
         assert mtl.lambda_max(data, mtl.MODE_STL) == pytest.approx(np.abs(G).max())
+
+    def test_float32_design_sums_in_float64(self):
+        data = random_instance(8, K=400, L=2, N=300)
+        data32 = [TaskDataset(d.task_id, d.X.astype(np.float32), d.y) for d in data]
+        G = np.column_stack(
+            [(2.0 / d.n) * (d.X.astype(np.float64).T @ d.y) for d in data32]
+        )
+        assert mtl.lambda_max(data32) == pytest.approx(
+            np.linalg.norm(G, axis=1).max(), rel=1e-12
+        )
 
 
 class TestSolve:
@@ -375,98 +384,6 @@ class TestFitForBudget:
         res = mtl.fit_for_budget(data, budget, max_bisect=40)
         assert len(calls) < 40
         assert np.array_equal(res.selected, best)
-
-
-def full_and_fold(seed):
-    """A planted-support instance and the fold that leaves out its first
-    five task-0 rows, as a leave-one-person-out fold leaves out a person."""
-    spec = ds.SynthSpec(K=300, L=2, N=60, support_size=8, noise_sigma=0.5, seed=seed)
-    data, _, _ = ds.synth_generate(spec)
-    return data, [TaskDataset("t0", data[0].X[5:], data[0].y[5:]), data[1]]
-
-
-def recording_solves(monkeypatch):
-    lams = []
-    solve = mtl.solve
-
-    def recording(data, lam, *args, **kwargs):
-        lams.append(lam)
-        return solve(data, lam, *args, **kwargs)
-
-    monkeypatch.setattr(mtl, "solve", recording)
-    return lams
-
-
-class TestFitForBudgetStart:
-    @pytest.mark.parametrize("opts", [TIGHT, TIGHT_STL], ids=["mtl", "stl"])
-    @pytest.mark.parametrize("seed", [0, 1, 3, 4])
-    def test_fold_from_full_data_start_matches_cold_search(self, seed, opts):
-        data, fold = full_and_fold(seed)
-        start = mtl.fit_for_budget(data, 10, opts)
-        warm = mtl.fit_for_budget(fold, 10, opts, start=start)
-        cold = mtl.fit_for_budget(fold, 10, opts)
-        assert np.array_equal(warm.selected, cold.selected)
-        assert warm.lam == pytest.approx(cold.lam, rel=1e-3)
-
-    def test_non_monotone_support_may_stop_in_another_region(self):
-        # in stl mode this fold has 10 bins at two separate lambdas, with
-        # more bins between them; each search keeps the one it reaches
-        data, fold = full_and_fold(2)
-        start = mtl.fit_for_budget(data, 10, TIGHT_STL)
-        warm = mtl.fit_for_budget(fold, 10, TIGHT_STL, start=start)
-        cold = mtl.fit_for_budget(fold, 10, TIGHT_STL)
-        assert len(warm.selected) == len(cold.selected) == 10
-        assert warm.lam > 1.2 * cold.lam
-
-    def test_start_saves_solves(self, monkeypatch):
-        data, fold = full_and_fold(0)
-        start = mtl.fit_for_budget(data, 10)
-        lams = recording_solves(monkeypatch)
-        mtl.fit_for_budget(fold, 10, start=start)
-        n_warm = len(lams)
-        lams.clear()
-        mtl.fit_for_budget(fold, 10)
-        assert n_warm < len(lams)
-
-    @pytest.mark.parametrize("start_lam, empty", [(0.0, False), (1.0, True)])
-    def test_start_without_lambda_or_bins_is_the_cold_search(
-        self, monkeypatch, start_lam, empty
-    ):
-        data, fold = full_and_fold(1)
-        full = mtl.fit_for_budget(data, 10)
-        W = np.zeros_like(full.W) if empty else full.W
-        start = mtl.SelectionResult(start_lam, W, mtl.support(W))
-        lams = recording_solves(monkeypatch)
-        cold = mtl.fit_for_budget(fold, 10)
-        cold_lams = list(lams)
-        lams.clear()
-        res = mtl.fit_for_budget(fold, 10, start=start)
-        assert lams == cold_lams
-        assert res.lam == cold.lam
-        assert np.array_equal(res.W, cold.W)
-
-    def test_start_above_lambda_max_brackets_downward(self, monkeypatch):
-        data, fold = full_and_fold(3)
-        full = mtl.fit_for_budget(data, 10, TIGHT)
-        lam_max = mtl.lambda_max(fold)
-        start = mtl.SelectionResult(10.0 * lam_max, full.W, full.selected)
-        lams = recording_solves(monkeypatch)
-        res = mtl.fit_for_budget(fold, 10, TIGHT, start=start)
-        assert lams[0] == pytest.approx(lam_max / 1.05)
-        assert lams[1] < lams[0]
-        cold = mtl.fit_for_budget(fold, 10, TIGHT)
-        assert np.array_equal(res.selected, cold.selected)
-
-    def test_budget_never_exceeded_ends_at_zero(self, monkeypatch):
-        data = random_instance(28, K=20, N=30)
-        start = mtl.fit_for_budget(data, 5)
-        lams = recording_solves(monkeypatch)
-        res = mtl.fit_for_budget(data, 20, start=start, max_bisect=12)
-        assert len(lams) == 12
-        assert all(b < a for a, b in zip(lams, lams[1:]))
-        # lo stayed 0, so the bisection halves lambda down to the last solve
-        assert lams[-1] == lams[-2] / 2
-        assert res.lam == lams[-1]
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 
 from glohage import dataset as ds
 from glohage import featfile, mtl, pipeline
-
-TIGHT = mtl.SolverOptions(rel_tol=1e-9, max_iters=5000)
 
 
 def synth_corpus(tmp_path, seed=5):
@@ -14,51 +13,43 @@ def synth_corpus(tmp_path, seed=5):
     return manifest, featfile.read_features(os.path.join(tmp_path, "features.gfv"))
 
 
-def counting(monkeypatch, module, name):
+def recording(monkeypatch, module, name):
     calls = []
     fn = getattr(module, name)
 
     def wrapper(*args, **kwargs):
-        calls.append(kwargs)
+        calls.append(args)
         return fn(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
 
 
-def test_one_selection_and_one_partition_per_fold_plus_the_full_data(
-    tmp_path, monkeypatch
-):
+def test_one_selection_and_one_partition_per_fold(tmp_path, monkeypatch):
     manifest, features = synth_corpus(tmp_path)
-    fits = counting(monkeypatch, mtl, "fit_for_budget")
-    parts = counting(monkeypatch, ds, "partition_by_task")
+    fits = recording(monkeypatch, mtl, "fit_for_budget")
+    parts = recording(monkeypatch, ds, "partition_by_task")
     pipeline.evaluate_lopo(manifest, features, pipeline.RunConfig(budget=8))
-    n_folds = len(ds.split_lopo(manifest))
-    assert len(fits) == len(parts) == n_folds + 1
-    assert fits[0]["start"] is None
-    assert all(f["start"] is not None for f in fits[1:])
+    assert len(fits) == len(parts) == len(ds.split_lopo(manifest))
 
 
 @pytest.mark.parametrize(
     "standardize, age_range", [(False, None), (True, None), (True, (10, 60))]
 )
-def test_warm_started_folds_give_the_cold_report(
+def test_no_held_out_row_reaches_a_fold_fit(
     tmp_path, monkeypatch, standardize, age_range
 ):
     manifest, features = synth_corpus(tmp_path)
-    config = pipeline.RunConfig(
-        solver=TIGHT, budget=8, standardize=standardize, age_range=age_range
-    )
-    warm = pipeline.evaluate_lopo(manifest, features, config)
+    parts = recording(monkeypatch, ds, "partition_by_task")
+    fits = recording(monkeypatch, mtl, "fit_for_budget")
+    config = pipeline.RunConfig(budget=8, standardize=standardize, age_range=age_range)
+    report = pipeline.evaluate_lopo(manifest, features, config)
 
-    fit = mtl.fit_for_budget
-    monkeypatch.setattr(
-        mtl, "fit_for_budget", lambda *a, start=None, **kw: fit(*a, **kw)
-    )
-    cold = pipeline.evaluate_lopo(manifest, features, config)
-    assert warm.n == cold.n == sum(
-        age_range is None or age_range[0] <= s.age <= age_range[1]
-        for s in manifest.samples
-    )
-    assert warm.mae == cold.mae
-    assert warm.per_fold == cold.per_fold
+    kept, _ = pipeline._filter_age_range(manifest, features, age_range)
+    folds = ds.split_lopo(kept)
+    assert report.n == len(kept.samples)
+    assert [list(p[0]) for p in parts] == [list(f.train_rows) for f in folds]
+    for fold, (rows, *_), (tasks, *_) in zip(folds, parts, fits):
+        assert all(kept.samples[r].person_id != fold.held_out_person for r in rows)
+        # every synthetic row has a known gender, so it is in exactly one task
+        assert sum(t.X.shape[0] for t in tasks) == len(fold.train_rows)
