@@ -33,15 +33,16 @@ print(f"per-patch histogram: {params.n_spatial} spatial cells "
       f"(1 disc + 2 rings of {params.n_sectors}) x {params.n_orient} "
       f"orientations = {params.per_patch_dim} bins")
 
-# one patch in detail
-d = gloh.patch_descriptor(magnitude, orientation, origins[100], params)
-print(f"\npatch #100 at {origins[100]}: norm {np.linalg.norm(d):.6f}, "
-      f"{np.count_nonzero(d)} nonzero bins")
-
-# the full feature vector
+# the full feature vector: one normalized histogram block per patch
 v = gloh.extract_gloh(img, params)
 blocks = v.reshape(len(origins), params.per_patch_dim)
 norms = np.linalg.norm(blocks, axis=1)
+
+# one patch in detail
+d = blocks[100]
+print(f"\npatch #100 at {origins[100]}: norm {np.linalg.norm(d):.6f}, "
+      f"{np.count_nonzero(d)} nonzero bins")
+
 print(f"\nfull feature vector: {v.shape[0]} dims, "
       f"{np.count_nonzero(norms)} non-flat patches")
 print("strongest bins (patch, bin):")

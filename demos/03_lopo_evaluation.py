@@ -8,13 +8,13 @@ import tempfile
 from glohage import dataset as ds
 from glohage import featfile, metrics, pipeline
 
-work = tempfile.mkdtemp(prefix="glohage_demo_")
-spec = ds.SynthSpec(K=300, L=2, N=120, support_size=8, noise_sigma=0.3, seed=11)
-manifest = pipeline.synth_dataset(spec, work)
-print(f"synthetic corpus: {len(manifest.samples)} samples, "
-      f"{len(ds.split_lopo(manifest))} persons -> {work}")
+with tempfile.TemporaryDirectory(prefix="glohage_demo_") as work:
+    spec = ds.SynthSpec(K=300, L=2, N=120, support_size=8, noise_sigma=0.3, seed=11)
+    manifest = pipeline.synth_dataset(spec, work)
+    print(f"synthetic corpus: {len(manifest.samples)} samples, "
+          f"{len(ds.split_lopo(manifest))} persons -> {work}")
+    features = featfile.read_features(os.path.join(work, "features.gfv"))
 
-features = featfile.read_features(os.path.join(work, "features.gfv"))
 config = pipeline.RunConfig(budget=20)
 report = pipeline.evaluate_lopo(manifest, features, config)
 

@@ -14,8 +14,62 @@ from . import featfile, gloh, metrics, mtl, pipeline, ridge
 from .errors import GlohError, InvalidSpecError
 
 
+def _floats(text):
+    return tuple(float(v) for v in text.split(","))
+
+
+def _optional_float(text):
+    return None if text.lower() == "none" else float(text)
+
+
+_BOOLS = {
+    "1": True, "true": True, "yes": True, "0": False, "false": False, "no": False,
+}
+
+
+def _bool(text):
+    try:
+        return _BOOLS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {'/'.join(_BOOLS)}") from None
+
+
+def _age_range(text):
+    lo, sep, hi = text.partition(":")
+    if not sep:
+        raise ValueError("expected LO:HI")
+    return int(lo), int(hi)
+
+
+# Every setting a config file or a same-named flag can give: key ->
+# (settings group, parser of its text). "gloh" keys build the GlohParams,
+# "solver" keys the SolverOptions and "run" keys the RunConfig itself.
+SETTINGS = {
+    "patch_size": ("gloh", int),
+    "stride": ("gloh", int),
+    "radii": ("gloh", _floats),
+    "n_sectors": ("gloh", int),
+    "n_orient": ("gloh", int),
+    "clip_threshold": ("gloh", _optional_float),
+    "max_iters": ("solver", int),
+    "rel_tol": ("solver", float),
+    "mode": ("solver", str),
+    "budget": ("run", int),
+    "alpha_grid": ("run", _floats),
+    "cs_max": ("run", int),
+    "seed": ("run", int),
+    "height": ("run", int),
+    "width": ("run", int),
+    "standardize": ("run", _bool),
+    "age_range": ("run", _age_range),
+}
+
+
 def _parse_config_file(path):
-    """Flat 'key = value' file; '#' starts a comment, blank lines ignored."""
+    """Flat 'key = value' file; '#' starts a comment, blank lines ignored.
+
+    Every key must be in SETTINGS and appear at most once.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = list(fh)
@@ -29,75 +83,40 @@ def _parse_config_file(path):
         if "=" not in line:
             raise InvalidSpecError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in SETTINGS:
+            raise InvalidSpecError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise InvalidSpecError(f"{path}:{lineno}: key {key!r} given twice")
         values[key] = value
     return values
-
-
-def _parse_age_range(text):
-    try:
-        lo, hi = text.split(":")
-        return int(lo), int(hi)
-    except ValueError:
-        raise InvalidSpecError(f"bad age range {text!r}, expected LO:HI")
 
 
 def build_config(args):
     """Merge config-file values and CLI flags into a RunConfig.
 
+    Both are text parsed by the SETTINGS table; a flag wins over the file.
     A value that does not parse or is out of range raises InvalidSpecError.
     """
     raw = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    try:
-        return _merge_config(raw, args)
-    except ValueError as exc:
-        raise InvalidSpecError(f"bad setting: {exc}") from None
-
-
-def _merge_config(raw, args):
-    gp = {}
-    for key in ("patch_size", "stride", "n_sectors", "n_orient"):
-        if key in raw:
-            gp[key] = int(raw[key])
-    if "radii" in raw:
-        gp["radii"] = tuple(float(v) for v in raw["radii"].split(","))
-    if "clip_threshold" in raw:
-        v = raw["clip_threshold"]
-        gp["clip_threshold"] = None if v.lower() == "none" else float(v)
-
-    so = {}
-    if "max_iters" in raw:
-        so["max_iters"] = int(raw["max_iters"])
-    if "rel_tol" in raw:
-        so["rel_tol"] = float(raw["rel_tol"])
-    if "mode" in raw:
-        so["mode"] = raw["mode"]
-    if getattr(args, "mode", None):
-        so["mode"] = args.mode
-
-    kw = {"gloh": gloh.GlohParams(**gp), "solver": mtl.SolverOptions(**so)}
-    for key, cast in (
-        ("budget", int),
-        ("cs_max", int),
-        ("seed", int),
-        ("height", int),
-        ("width", int),
-    ):
-        if key in raw:
-            kw[key] = cast(raw[key])
+    for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
-            kw[key] = flag
-    if "alpha_grid" in raw:
-        kw["alpha_grid"] = tuple(float(v) for v in raw["alpha_grid"].split(","))
-    if "standardize" in raw:
-        kw["standardize"] = raw["standardize"].lower() in ("1", "true", "yes")
-    if getattr(args, "standardize", False):
-        kw["standardize"] = True
-    if "age_range" in raw:
-        kw["age_range"] = _parse_age_range(raw["age_range"])
-    if getattr(args, "age_range", None):
-        kw["age_range"] = _parse_age_range(args.age_range)
-    return pipeline.RunConfig(**kw)
+            raw[key] = flag
+    groups = {"gloh": {}, "solver": {}, "run": {}}
+    for key, text in raw.items():
+        group, parse = SETTINGS[key]
+        try:
+            groups[group][key] = parse(text)
+        except ValueError as exc:
+            raise InvalidSpecError(f"bad setting {key} = {text!r}: {exc}") from None
+    try:
+        return pipeline.RunConfig(
+            gloh=gloh.GlohParams(**groups["gloh"]),
+            solver=mtl.SolverOptions(**groups["solver"]),
+            **groups["run"],
+        )
+    except ValueError as exc:
+        raise InvalidSpecError(f"bad setting: {exc}") from None
 
 
 def _load_pair(manifest_path, features_path):
@@ -171,16 +190,17 @@ def cmd_synth(args):
 
 
 def _add_common(p, *, mode=False, budget=False, evaluation=False):
+    # setting flags keep their text; build_config parses it with SETTINGS
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed")
     if mode:
-        p.add_argument("--mode", choices=(mtl.MODE_MTL, mtl.MODE_STL), default=None)
+        p.add_argument("--mode", choices=(mtl.MODE_MTL, mtl.MODE_STL))
     if budget:
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--budget")
     if evaluation:
         p.add_argument("--age-range", dest="age_range", metavar="LO:HI")
-        p.add_argument("--cs-max", dest="cs_max", type=int, default=None)
-        p.add_argument("--standardize", action="store_true")
+        p.add_argument("--cs-max", dest="cs_max")
+        p.add_argument("--standardize", action="store_const", const="true")
 
 
 def make_parser():
@@ -193,8 +213,8 @@ def make_parser():
     p = sub.add_parser("extract", help="extract GLOH features for a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--height")
+    p.add_argument("--width")
     _add_common(p)
     p.set_defaults(func=cmd_extract)
 

@@ -29,7 +29,7 @@ def write_features(path, rows):
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", n, k))
-        fh.write(arr.tobytes())
+        arr.tofile(fh)
 
 
 def read_features(path):

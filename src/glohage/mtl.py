@@ -44,6 +44,11 @@ from .errors import (
 MODE_MTL = "mtl"
 MODE_STL = "stl"
 
+INIT_STEP = 1.0  # first FISTA step of every call
+STEP_SHRINK = 0.5  # backtracking factor on the step
+SUPPORT_EPSILON = 1e-8  # row norm above which a bin counts as selected
+MAX_BISECT = 40  # most solves one lambda search makes
+
 
 @dataclass
 class TaskDataset:
@@ -78,13 +83,13 @@ class TaskDataset:
 class SolverOptions:
     max_iters: int = 2000
     rel_tol: float = 1e-6
-    init_step: float = 1.0
-    step_shrink: float = 0.5
     mode: str = MODE_MTL
 
     def __post_init__(self):
-        if self.max_iters < 1 or self.rel_tol <= 0 or not (0 < self.step_shrink < 1):
-            raise ValueError("bad solver options")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0):
+            raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if self.mode not in (MODE_MTL, MODE_STL):
             raise ValueError(f"unknown mode {self.mode!r}")
 
@@ -96,7 +101,7 @@ class SelectionResult:
     lam: float
     W: np.ndarray
     selected: np.ndarray  # ascending bin indices
-    epsilon: float = 1e-8
+    epsilon: float = SUPPORT_EPSILON
 
 
 def _check_shapes(W, data):
@@ -267,7 +272,7 @@ def _fista(data, lam, opts, w0):
     W_prev, P_prev, mask_prev = W, P, mask
     G = np.empty_like(W)
     theta = 1.0
-    step = opts.init_step
+    step = INIT_STEP
     F = _loss(P, data) + lam * penalty(W, opts.mode)
     best_F, best_W = F, W.copy()
 
@@ -290,7 +295,7 @@ def _fista(data, lam, opts, w0):
             )
             if curv <= rhs + 1e-12 * max(1.0, rhs):
                 break
-            step *= opts.step_shrink
+            step *= STEP_SHRINK
             if step < 1e-18:
                 raise NonFiniteError("backtracking step underflow")
 
@@ -309,46 +314,47 @@ def _fista(data, lam, opts, w0):
     return best_W
 
 
-def support(W, epsilon=1e-8):
+def support(W, epsilon=SUPPORT_EPSILON):
     """Ascending indices of rows with Euclidean norm above epsilon."""
     return np.flatnonzero(np.linalg.norm(np.atleast_2d(W), axis=1) > epsilon)
 
 
-def fit_for_budget(data, budget, opts=SolverOptions(), epsilon=1e-8, max_bisect=40):
+def fit_for_budget(data, budget, opts=SolverOptions()):
     """Pick lambda by bisection so at most ``budget`` bins are selected.
 
     Searches [0, lambda_max]; each solve warm-starts from the previous
     coefficients. Among solutions with |support| <= budget the one with
-    the largest support wins, ties broken toward smaller lambda. The
-    search stops after ``max_bisect`` solves, or earlier once the bracket
-    [lo, hi] is no wider than opts.rel_tol * hi: moving lambda that little
-    changes the penalty term lambda * R(W) by less than the solver's own
-    relative tolerance.
+    the largest support wins, ties broken toward smaller lambda; a bin is
+    selected when its row norm exceeds SUPPORT_EPSILON. The search stops
+    after MAX_BISECT solves, or earlier once the bracket [lo, hi] is no
+    wider than opts.rel_tol * hi: moving lambda that little changes the
+    penalty term lambda * R(W) by less than the solver's own relative
+    tolerance.
     """
     k = data[0].k
     if not (1 <= budget <= k):
         raise BudgetOutOfRangeError(f"budget {budget} outside [1, {k}]")
 
     lam_hi = lambda_max(data, opts.mode)
-    best = SelectionResult(lam_hi, np.zeros((k, len(data))), np.array([], dtype=int), epsilon)
+    best = SelectionResult(lam_hi, np.zeros((k, len(data))), np.array([], dtype=int))
     if lam_hi == 0.0:
         return best
 
     lo, hi = 0.0, lam_hi
     W_warm = None
-    for _ in range(max_bisect):
+    for _ in range(MAX_BISECT):
         if hi - lo <= opts.rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
         W = solve(data, mid, opts, w0=W_warm)
         W_warm = W
-        S = support(W, epsilon)
+        S = support(W)
         if len(S) <= budget:
             hi = mid
             if len(S) > len(best.selected) or (
                 len(S) == len(best.selected) and mid < best.lam
             ):
-                best = SelectionResult(mid, W.copy(), S, epsilon)
+                best = SelectionResult(mid, W.copy(), S)
         else:
             lo = mid
     return best

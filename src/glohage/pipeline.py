@@ -1,5 +1,6 @@
 """End-to-end wiring: extraction, selection, training and LOPO evaluation."""
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -27,26 +28,42 @@ class RunConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
+        if len(self.alpha_grid) == 0 or not all(
+            math.isfinite(a) and a >= 0 for a in self.alpha_grid
+        ):
+            raise ValueError(
+                f"alpha_grid needs finite values >= 0, got {self.alpha_grid}"
+            )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.cs_max < 0:
+            raise ValueError(f"cs_max must be >= 0, got {self.cs_max}")
+        if self.age_range is not None and self.age_range[0] > self.age_range[1]:
+            raise ValueError(f"age_range {self.age_range} has lo > hi")
 
 
 def extract_features(manifest, config=RunConfig(), base_dir="."):
     """Extract GLOH features for every manifest row, in manifest order.
 
     Relative image paths are resolved against ``base_dir`` (normally the
-    manifest's directory).
+    manifest's directory). Each row goes straight into the float32 result,
+    which is allocated once the first row gives the feature length.
     """
     from .pgm import check_dims, load_pgm
 
     if not manifest.samples:
         raise EmptyError("manifest has no rows")
-    rows = []
-    for s in manifest.samples:
+    feats = None
+    for i, s in enumerate(manifest.samples):
         path = s.image_path
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
         img = check_dims(load_pgm(path), config.height, config.width)
-        rows.append(gloh_mod.extract_gloh(img, config.gloh))
-    return np.array(rows, dtype=np.float32)
+        row = gloh_mod.extract_gloh(img, config.gloh)
+        if feats is None:
+            feats = np.empty((len(manifest.samples), row.size), dtype=np.float32)
+        feats[i] = row
+    return feats
 
 
 def _filter_age_range(manifest, features, age_range):

@@ -26,6 +26,7 @@ from .errors import (
 POOLED = "pooled"
 
 DEFAULT_ALPHA_GRID = tuple(10.0 ** e for e in range(-3, 4))
+CV_FOLDS = 5  # folds of the ridge weight's cross-validation
 
 
 @dataclass
@@ -71,15 +72,15 @@ def fit_ridge(X, y, alpha):
     return w, intercept
 
 
-def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, k=5, seed=0):
-    """k-fold cross-validated MAE over an alpha grid; ties go to larger alpha.
+def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
+    """Cross-validated MAE over an alpha grid; ties go to larger alpha.
 
-    Folds are contiguous blocks of a seeded shuffle, so the choice is
-    deterministic for a given seed. A one-value grid is returned without
-    cross-validation. Each training split is centered and its Gram matrix
-    Xc^T Xc = V diag(e) V^T is decomposed once; the ridge weights of every
-    alpha follow as V diag(1 / (e + alpha)) V^T Xc^T yc. A grid value that
-    leaves e + alpha numerically singular on a split raises
+    The CV_FOLDS folds are contiguous blocks of a seeded shuffle, so the
+    choice is deterministic for a given seed. A one-value grid is returned
+    without cross-validation. Each training split is centered and its Gram
+    matrix Xc^T Xc = V diag(e) V^T is decomposed once; the ridge weights
+    of every alpha follow as V diag(1 / (e + alpha)) V^T Xc^T yc. A grid
+    value that leaves e + alpha numerically singular on a split raises
     SingularSystemError, as fit_ridge would.
     """
     grid = list(grid)
@@ -90,16 +91,16 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, k=5, seed=0):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
-    if k < 2 or n < k:
-        raise TooFewSamplesError(f"{n} samples cannot form {k} folds")
+    if n < CV_FOLDS:
+        raise TooFewSamplesError(f"{n} samples cannot form {CV_FOLDS} folds")
     if len(grid) == 1:
         return grid[0]
 
     order = np.random.default_rng(seed).permutation(n)
-    bounds = np.linspace(0, n, k + 1).astype(int)
+    bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
     alphas = np.array(grid, dtype=np.float64)
     mae = np.zeros(len(grid))
-    for i in range(k):
+    for i in range(CV_FOLDS):
         fold = order[bounds[i] : bounds[i + 1]]
         train = np.setdiff1d(order, fold)
         Xt, yt = X[train], y[train]
@@ -122,14 +123,14 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, k=5, seed=0):
     return grid[max(range(len(grid)), key=lambda j: (-mae[j], grid[j]))]
 
 
-def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, cv_folds=5, seed=0):
+def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
     """Fit per-task ridge regressors (plus a pooled fallback) on selected bins.
 
     ``task_data`` maps task label -> (X_full, y) where X_full has the full
     feature dimension; columns outside ``selected`` are ignored. The pooled
     model under the key "pooled" is fit on the union of all tasks' samples
     and serves rows whose task label is unknown at prediction time. A task
-    with fewer samples than ``cv_folds`` takes the middle of the grid.
+    with fewer samples than CV_FOLDS takes the middle of the grid.
     """
     selected = np.asarray(selected, dtype=int)
     model = RidgeModel(selected=selected)
@@ -143,7 +144,7 @@ def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, cv_folds=5, se
     )
     for task, Xs, y in fits:
         try:
-            alpha = select_alpha(Xs, y, alpha_grid, cv_folds, seed)
+            alpha = select_alpha(Xs, y, alpha_grid, seed)
         except TooFewSamplesError:
             grid = list(alpha_grid)
             alpha = grid[len(grid) // 2]  # too few samples to cross-validate

@@ -1,15 +1,21 @@
-"""Reference solvers that the tests compare the package against.
+"""Reference implementations that the tests compare the package against.
 
-Plain, slow implementations kept out of the package: the group
-soft-threshold of one row (the prox of its Euclidean norm), a cyclic
-block-coordinate-descent solver for the selection problem, and ridge
-cross-validation with one Cholesky fit per alpha and fold.
+Plain, slow implementations kept out of the package: the GLOH histogram
+of one patch and its normalization, the group soft-threshold of one row
+(the prox of its Euclidean norm), a cyclic block-coordinate-descent
+solver for the selection problem, and ridge cross-validation with one
+Cholesky fit per alpha and fold.
 """
 
 import numpy as np
 from scipy.optimize import brentq
 
-from glohage.errors import NegativeLambdaError
+from glohage.errors import (
+    NegativeEntryError,
+    NegativeLambdaError,
+    PatchOutOfBoundsError,
+)
+from glohage.gloh import GlohParams, _orientation_bins, _spatial_bin_map
 from glohage.mtl import (
     MODE_STL,
     SolverOptions,
@@ -18,6 +24,48 @@ from glohage.mtl import (
     soft_threshold,
 )
 from glohage.ridge import fit_ridge
+
+
+def normalize_descriptor(vec, clip_threshold=0.2):
+    """L2 normalize, optionally clip entries and re-normalize (SIFT style).
+
+    Zero vectors pass through unchanged; the result has unit norm otherwise.
+    """
+    vec = np.asarray(vec, dtype=np.float64)
+    if np.any(vec < 0):
+        raise NegativeEntryError("histogram entries must be nonnegative")
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        return vec.copy()
+    out = vec / norm
+    if clip_threshold is not None:
+        out = np.minimum(out, clip_threshold)
+        out /= np.linalg.norm(out)
+    return out
+
+
+def patch_descriptor(magnitude, orientation, origin, params=GlohParams()):
+    """Normalized log-polar histogram for one patch (length 136 at defaults).
+
+    ``magnitude`` and ``orientation`` are full-image gradient fields; the
+    patch with top-left ``origin`` must fit inside them.
+    """
+    h, w = magnitude.shape
+    r, c = origin
+    p = params.patch_size
+    if r < 0 or c < 0 or r + p > h or c + p > w:
+        raise PatchOutOfBoundsError(f"patch at {origin} exceeds {h}x{w} field")
+
+    sbin = _spatial_bin_map(params)
+    mag = np.asarray(magnitude, dtype=np.float64)[r : r + p, c : c + p]
+    obin = _orientation_bins(
+        np.asarray(orientation, dtype=np.float64)[r : r + p, c : c + p],
+        params.n_orient,
+    )
+    keep = sbin >= 0
+    idx = sbin[keep] * params.n_orient + obin[keep]
+    hist = np.bincount(idx, weights=mag[keep], minlength=params.per_patch_dim)
+    return normalize_descriptor(hist, params.clip_threshold)
 
 
 def group_soft_threshold(row, tau):

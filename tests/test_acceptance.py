@@ -223,7 +223,7 @@ def test_criterion_11_performance_envelope():
         y = X @ w + 0.5 * rng.standard_normal(n).astype(np.float32)
         data.append(TaskDataset(f"t{l}", X, y - y.mean()))
     t_solve = time.perf_counter()
-    sel = mtl.fit_for_budget(data, 50, max_bisect=40)
+    sel = mtl.fit_for_budget(data, 50)
     elapsed = time.perf_counter() - t_solve
     total = time.perf_counter() - t0
     assert len(sel.selected) <= 50

@@ -1,4 +1,6 @@
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -286,6 +288,31 @@ class TestErrorContract:
             capsys, "InvalidSpec",
         )
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            "alpha_grid = -1,1",
+            "alpha_grid = nan,1",
+            "seed = -1",
+            "cs_max = -1",
+            "age_range = 30:20",
+            "rel_tol = nan",
+            "standardize = ture",
+            "budgte = 3",
+            "budget = 3\nbudget = 4",
+        ],
+    )
+    def test_bad_setting_in_config(self, tmp_path, capsys, settings):
+        man, feat = make_feature_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(settings + "\n")
+        self.run_failing(
+            ["evaluate", "--manifest", man, "--features", feat,
+             "--out", str(tmp_path / "report.csv"), "--budget", "5",
+             "--config", str(cfg)],
+            capsys, "InvalidSpec",
+        )
+
     def test_two_radii_in_config(self, tmp_path, capsys):
         man = make_image_corpus(tmp_path, n=1)
         cfg = tmp_path / "run.cfg"
@@ -344,3 +371,10 @@ class TestErrorContract:
              "--out", str(tmp_path / "pred.csv")],
             capsys, "FileAccess",
         )
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Config keys", 1)[1].split("\n## ", 1)[0]
+    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert sorted(keys) == sorted(cli.SETTINGS)

@@ -1,4 +1,5 @@
-"""Each demo script runs to completion and prints its opening lines."""
+"""Each demo script runs to completion, prints its opening lines and leaves
+no temporary directory behind."""
 
 import os
 import subprocess
@@ -34,3 +35,4 @@ def test_demo_runs(tmp_path, script, headers):
     lines = proc.stdout.splitlines()
     for header in headers:
         assert any(ln.startswith(header) for ln in lines), header
+    assert not list(tmp_path.glob("glohage_demo_*"))

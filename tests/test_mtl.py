@@ -381,7 +381,7 @@ class TestFitForBudget:
         monkeypatch.setattr(
             mtl, "solve", lambda *a, **kw: calls.append(1) or solve(*a, **kw)
         )
-        res = mtl.fit_for_budget(data, budget, max_bisect=40)
+        res = mtl.fit_for_budget(data, budget)
         assert len(calls) < 40
         assert np.array_equal(res.selected, best)
 

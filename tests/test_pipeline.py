@@ -53,3 +53,21 @@ def test_no_held_out_row_reaches_a_fold_fit(
         assert all(kept.samples[r].person_id != fold.held_out_person for r in rows)
         # every synthetic row has a known gender, so it is in exactly one task
         assert sum(t.X.shape[0] for t in tasks) == len(fold.train_rows)
+
+
+@pytest.mark.parametrize(
+    "settings, key, value",
+    [
+        (pipeline.RunConfig, "alpha_grid", ()),
+        (pipeline.RunConfig, "alpha_grid", (-1.0, 1.0)),
+        (pipeline.RunConfig, "alpha_grid", (float("nan"), 1.0)),
+        (pipeline.RunConfig, "seed", -1),
+        (pipeline.RunConfig, "cs_max", -1),
+        (pipeline.RunConfig, "age_range", (30, 20)),
+        (mtl.SolverOptions, "rel_tol", float("nan")),
+        (mtl.SolverOptions, "rel_tol", float("inf")),
+    ],
+)
+def test_settings_reject_bad_values(settings, key, value):
+    with pytest.raises(ValueError):
+        settings(**{key: value})

@@ -99,18 +99,18 @@ class TestSelectAlpha:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 5))
         y = X @ rng.standard_normal(5)
-        assert ridge.select_alpha(X, y, [1e-6, 1e3], k=5, seed=0) == 1e-6
+        assert ridge.select_alpha(X, y, [1e-6, 1e3], seed=0) == 1e-6
 
     def test_single_element_grid(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((10, 2))
-        assert ridge.select_alpha(X, rng.standard_normal(10), [3.3], k=2) == 3.3
+        assert ridge.select_alpha(X, rng.standard_normal(10), [3.3]) == 3.3
 
     def test_pure_noise_prefers_large_alpha(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((40, 10))
         y = rng.standard_normal(40)
-        assert ridge.select_alpha(X, y, [1e-6, 1e6], k=5, seed=0) == 1e6
+        assert ridge.select_alpha(X, y, [1e-6, 1e6], seed=0) == 1e6
 
     def test_empty_grid(self):
         with pytest.raises(GridEmptyError):
@@ -118,7 +118,7 @@ class TestSelectAlpha:
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
-            ridge.select_alpha(np.zeros((3, 1)), np.zeros(3), [1.0], k=5)
+            ridge.select_alpha(np.zeros((3, 1)), np.zeros(3), [1.0])
 
     @pytest.mark.parametrize(
         "n, p, seed",
@@ -130,7 +130,7 @@ class TestSelectAlpha:
         for trial in range(5):
             X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10)
             y = X @ rng.standard_normal(p) + rng.uniform(0.5, 5) * rng.standard_normal(n)
-            assert ridge.select_alpha(X, y, grid, k=5, seed=trial) == (
+            assert ridge.select_alpha(X, y, grid, seed=trial) == (
                 oracles.select_alpha_oracle(X, y, grid, k=5, seed=trial)
             )
 
