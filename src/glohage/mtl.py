@@ -70,6 +70,12 @@ class TaskDataset:
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
             raise NonFiniteError(f"task {self.task_id}: non-finite entries")
 
+    def columns(self, cols):
+        """This task on the listed columns of X, without re-checking them."""
+        sub = object.__new__(TaskDataset)  # skips __post_init__'s scan
+        sub.task_id, sub.X, sub.y = self.task_id, self.X[:, cols], self.y
+        return sub
+
     @property
     def n(self):
         return self.X.shape[0]
@@ -114,7 +120,9 @@ def _check_shapes(W, data):
 
 
 def _nonzero_rows(W):
-    return np.flatnonzero(np.any(W != 0, axis=1))
+    # scan the entries: a reduction along rows of a few tasks each costs
+    # more per row than the scan itself
+    return np.unique(np.flatnonzero(W) // W.shape[1])
 
 
 def _row_norms(W):
@@ -233,7 +241,7 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     G = np.empty_like(W)
     while 4 * len(ws) < k:
         if len(ws):
-            sub = [TaskDataset(d.task_id, d.X[:, ws], d.y) for d in data]
+            sub = [d.columns(ws) for d in data]
             W[ws] = _fista(sub, lam, opts, W[ws])
         _grad(_products(W, data, ws), data, G)
         score = _row_norms(G) if opts.mode == MODE_MTL else np.max(np.abs(G), axis=1)
@@ -348,7 +356,8 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
         mid = 0.5 * (lo + hi)
         W = solve(data, mid, opts, w0=W_warm)
         W_warm = W
-        S = support(W)
+        rows = _nonzero_rows(W)
+        S = rows[support(W[rows])]
         if len(S) <= budget:
             hi = mid
             if len(S) > len(best.selected) or (

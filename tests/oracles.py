@@ -1,13 +1,15 @@
 """Reference implementations that the tests compare the package against.
 
 Plain, slow implementations kept out of the package: the GLOH histogram
-of one patch and its normalization, the group soft-threshold of one row
+of one patch and its normalization, the sliding-window GLOH extractor
+that pins the package's feature bytes, the group soft-threshold of one row
 (the prox of its Euclidean norm), a cyclic block-coordinate-descent
 solver for the selection problem, and ridge cross-validation with one
 Cholesky fit per alpha and fold.
 """
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
 from glohage.errors import (
@@ -15,7 +17,13 @@ from glohage.errors import (
     NegativeLambdaError,
     PatchOutOfBoundsError,
 )
-from glohage.gloh import GlohParams, _orientation_bins, _spatial_bin_map
+from glohage.gloh import (
+    TWO_PI,
+    GlohParams,
+    _orientation_bins,
+    _spatial_bin_map,
+    patch_grid,
+)
 from glohage.mtl import (
     MODE_STL,
     SolverOptions,
@@ -66,6 +74,63 @@ def patch_descriptor(magnitude, orientation, origin, params=GlohParams()):
     idx = sbin[keep] * params.n_orient + obin[keep]
     hist = np.bincount(idx, weights=mag[keep], minlength=params.per_patch_dim)
     return normalize_descriptor(hist, params.clip_threshold)
+
+
+def compute_gradients_mod(img):
+    """Gradient magnitude and orientation, the angle wrapped with np.mod."""
+    I = np.asarray(img, dtype=np.float64)
+    gx = np.empty_like(I)
+    gy = np.empty_like(I)
+    gx[:, 1:-1] = (I[:, 2:] - I[:, :-2]) / 2.0
+    gx[:, 0] = I[:, 1] - I[:, 0]
+    gx[:, -1] = I[:, -1] - I[:, -2]
+    gy[1:-1, :] = (I[2:, :] - I[:-2, :]) / 2.0
+    gy[0, :] = I[1, :] - I[0, :]
+    gy[-1, :] = I[-1, :] - I[-2, :]
+    magnitude = np.hypot(gx, gy)
+    orientation = np.mod(np.arctan2(gy, gx), TWO_PI)
+    orientation[orientation >= TWO_PI] = 0.0
+    return magnitude, orientation
+
+
+def extract_gloh_windows(img, params=GlohParams()):
+    """GLOH features from sliding windows over the gradient field.
+
+    Builds the spatial bin map and the patch windows for this image, sends
+    out-of-radius pixels to a trash slot of one flat bincount and
+    normalizes with np.linalg.norm.
+    """
+    img = np.asarray(img)
+    h, w = img.shape
+    n_patches = len(patch_grid(h, w, params))
+    p, s = params.patch_size, params.stride
+    d = params.per_patch_dim
+
+    magnitude, orientation = compute_gradients_mod(img)
+    obin = _orientation_bins(orientation, params.n_orient)
+    sbin = _spatial_bin_map(params)
+
+    mag_w = sliding_window_view(magnitude, (p, p))[::s, ::s].reshape(n_patches, p, p)
+    obin_w = sliding_window_view(obin, (p, p))[::s, ::s].reshape(n_patches, p, p)
+
+    cell = np.where(sbin >= 0, sbin * params.n_orient, 0)
+    flat_idx = obin_w + cell[None, :, :]
+    flat_idx = flat_idx + (np.arange(n_patches) * d)[:, None, None]
+    trash = n_patches * d
+    flat_idx = np.where(sbin[None, :, :] >= 0, flat_idx, trash)
+    hist = np.bincount(
+        flat_idx.ravel(), weights=mag_w.ravel(), minlength=trash + 1
+    )[:trash]
+    blocks = hist.reshape(n_patches, d)
+
+    norms = np.linalg.norm(blocks, axis=1)
+    nz = norms > 0
+    blocks[nz] /= norms[nz, None]
+    if params.clip_threshold is not None:
+        np.minimum(blocks, params.clip_threshold, out=blocks)
+        norms = np.linalg.norm(blocks, axis=1)
+        blocks[nz] /= norms[nz, None]
+    return blocks.ravel()
 
 
 def group_soft_threshold(row, tau):

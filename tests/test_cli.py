@@ -323,6 +323,27 @@ class TestErrorContract:
             capsys, "InvalidSpec",
         )
 
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "patch_size = 0",
+            "stride = 0",
+            "stride = -1",
+            "n_sectors = 0",
+            "n_orient = 0",
+            "n_orient = -2",
+        ],
+    )
+    def test_bad_geometry_in_config(self, tmp_path, capsys, setting):
+        man = make_image_corpus(tmp_path, n=1)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        self.run_failing(
+            ["extract", "--manifest", man, "--out", str(tmp_path / "f.gfv"),
+             "--config", str(cfg)],
+            capsys, "InvalidSpec",
+        )
+
     def test_selection_bin_out_of_range(self, tmp_path, capsys):
         man, feat = make_feature_corpus(tmp_path)  # K = 30
         sel = tmp_path / "sel.txt"

@@ -13,9 +13,46 @@ import oracles
 
 DEFAULTS = GlohParams()
 
+GEOMETRIES = [
+    DEFAULTS,
+    GlohParams(stride=2),
+    GlohParams(n_sectors=4, n_orient=4),
+    GlohParams(clip_threshold=None),
+    GlohParams(clip_threshold=1.0),
+    GlohParams(patch_size=12, radii=(2.5, 4, 6)),
+]
+# the first shape comes back last, after the cache has seen the others
+SHAPES = [(68, 62), (10, 10), (31, 25), (13, 40), (68, 62)]
+
 
 def rand_image(shape, seed=0):
     return np.random.default_rng(seed).integers(0, 256, size=shape).astype(np.uint8)
+
+
+def bit_images(shape):
+    """Inputs for the bitwise checks, by name."""
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    rows, cols = np.mgrid[0 : shape[0], 0 : shape[1]]
+    return {
+        "uint8": rng.integers(0, 256, size=shape).astype(np.uint8),
+        "float64": rng.normal(0.0, 50.0, size=shape),
+        "constant": np.full(shape, 9, dtype=np.uint8),
+        "negative zero": np.full(shape, -0.0),
+        # -0.0 minus +0.0 down column 0 against a positive gx there: angles
+        # of -0.0, which the wrap turns into +0.0
+        "signed zeros": np.where(
+            cols == 0, np.where(rows % 4 >= 2, -0.0, 0.0), cols.astype(float)
+        ),
+        # gy ~ -1e-300 against gx ~ 1e-284: angles of about -1e-16, which
+        # round to exactly 2*pi once wrapped
+        "tiny angles": cols * 1e-284 - rows * 1e-300,
+    }
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        a.view(np.uint64), b.view(np.uint64)
+    )
 
 
 class TestGradients:
@@ -44,6 +81,15 @@ class TestGradients:
                     if m0[r, c] > 0:
                         shift = (o1[i, j] - o0[r, c]) % (2 * np.pi)
                         assert shift == pytest.approx(np.pi / 2, abs=1e-9)
+
+    @pytest.mark.parametrize("shape", SHAPES[:-1])
+    def test_orientation_bits_match_mod(self, shape):
+        for name, img in bit_images(shape).items():
+            m0, o0 = oracles.compute_gradients_mod(img)
+            m1, o1 = gloh.compute_gradients(img)
+            assert same_bits(m1, m0), name
+            assert same_bits(o1, o0), name
+            assert np.all((o1 >= 0) & (o1 < 2 * np.pi)), name
 
 
 class TestPatchGrid:
@@ -179,6 +225,27 @@ class TestExtract:
             # the edited pixel or one of its gradient neighbors is inside
             assert orow - 1 <= r <= orow + p and ocol - 1 <= c <= ocol + p
 
+    @pytest.mark.parametrize("params", GEOMETRIES)
+    def test_bits_match_sliding_windows(self, params):
+        for shape in SHAPES:
+            if min(shape) < params.patch_size:
+                with pytest.raises(ImageTooSmallError):
+                    gloh.extract_gloh(np.zeros(shape), params)
+                continue
+            for name, img in bit_images(shape).items():
+                v = gloh.extract_gloh(img, params)
+                ref = oracles.extract_gloh_windows(img, params)
+                assert same_bits(v, ref), (shape, name)
+
+    def test_layout_is_cached_read_only(self):
+        a = gloh._layout(31, 25, DEFAULTS)
+        assert gloh._layout(31, 25, GlohParams()) is a
+        assert gloh._layout(25, 31, DEFAULTS) is not a
+        assert gloh._layout(31, 25, GlohParams(stride=2)) is not a
+        for arr in a[:2]:
+            with pytest.raises(ValueError):
+                arr[0] = 0
+
     def test_length_invariant_random_shapes(self):
         rng = np.random.default_rng(9)
         for _ in range(5):
@@ -196,4 +263,14 @@ def test_params_validation():
         GlohParams(radii=(2.0, 3.0, 9.0))
     with pytest.raises(ValueError):
         GlohParams(clip_threshold=0.0)
+    for bad in (
+        {"patch_size": 0},
+        {"stride": 0},
+        {"stride": -1},
+        {"n_sectors": 0},
+        {"n_orient": 0},
+        {"n_orient": -2},
+    ):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            GlohParams(**bad)
     assert GlohParams(clip_threshold=None).per_patch_dim == 136
