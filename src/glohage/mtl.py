@@ -8,13 +8,13 @@ with R(W) = sum_k ||W[k, :]||_2 in multi-task ("mtl") mode, and
 R(W) = sum of |W| entries in single-task ("stl") mode. Bins whose
 coefficient row survives thresholding are the selected features.
 
-``solve`` works on a growing set of rows. Each outer pass runs
-accelerated proximal gradient (FISTA) with backtracking on the columns
-of X in the working set, then takes one full-width gradient and adds the
-rows outside the set that break their zero-row optimality condition;
-when none does, the result is optimal for the full problem to the
-subproblem's tolerance. Almost every row is zero at the budgets used
-here, so the FISTA iterations run on a few hundred columns instead of K.
+``solve`` works on a growing set of rows. Each outer pass runs FISTA
+(accelerated proximal gradient) with backtracking on the working set's
+columns of X, then takes one task-major full-width gradient (each
+X_l^T r_l a contiguous column) and adds the rows outside the set that
+break their zero-row optimality condition; when none does, the result is
+optimal for the full problem to the subproblem's tolerance. Almost every
+row is zero at our budgets, so FISTA runs on a few hundred columns, not K.
 
 FISTA carries the products X_l w_l of its iterates. One iteration makes
 a single product with all of its columns, the gradient X_l^T r_l at the
@@ -26,6 +26,8 @@ Loss, gradient, objective and solver share one product/residual path.
 
 ``fit_for_budget`` bisects on lambda until the bin budget is met and
 stops once the bracket is narrower than the solver's relative tolerance.
+Each solve starts from the last solution and carries its working set:
+the nonzero rows that the bisection finds for the support anyway.
 """
 
 import math
@@ -76,6 +78,15 @@ class TaskDataset:
         sub.task_id, sub.X, sub.y = self.task_id, self.X[:, cols], self.y
         return sub
 
+    def with_labels(self, y):
+        """This task with new labels ``y`` (one per row); only y is checked."""
+        y = np.asarray(y, dtype=np.float64)
+        if not np.isfinite(y).all():
+            raise NonFiniteError(f"task {self.task_id}: non-finite labels")
+        sub = self.columns(slice(None))  # X[:, :] is a view
+        sub.y = y
+        return sub
+
     @property
     def n(self):
         return self.X.shape[0]
@@ -100,6 +111,10 @@ class SolverOptions:
             raise ValueError(f"unknown mode {self.mode!r}")
 
 
+class _Warm(tuple):
+    """(W, nonzero rows of W): a w0 that solve takes over without a copy or scan."""
+
+
 @dataclass
 class SelectionResult:
     """Chosen regularization weight, coefficients and surviving bins."""
@@ -120,13 +135,21 @@ def _check_shapes(W, data):
 
 
 def _nonzero_rows(W):
-    # scan the entries: a reduction along rows of a few tasks each costs
-    # more per row than the scan itself
-    return np.unique(np.flatnonzero(W) // W.shape[1])
+    # one pass per task column: a reduction along rows of a few tasks costs more
+    mask = W[:, 0] != 0
+    for l in range(1, W.shape[1]):
+        mask |= W[:, l] != 0
+    return mask.nonzero()[0]
 
 
 def _row_norms(W):
-    return np.sqrt(np.einsum("ij,ij->i", W, W))
+    # per task column (contiguous in the task-major gradient), summed as einsum
+    # sums a C-order row of <= 7 tasks: even and odd columns apart, then added
+    sq = [W[:, l] * W[:, l] for l in range(W.shape[1])]
+    for l in range(2, len(sq)):
+        sq[l % 2] += sq[l]
+    total = sq[0] + sq[1] if len(sq) > 1 else sq[0]
+    return np.sqrt(total, out=total)
 
 
 def _products(W, data, rows):
@@ -136,13 +159,10 @@ def _products(W, data, rows):
     When the rows are a quarter of K or more the dense product is used, so
     no large column copy of X is ever made.
     """
-    out = []
-    for l, d in enumerate(data):
-        if 4 * len(rows) >= d.k:
-            out.append(d.X @ W[:, l].astype(d.X.dtype))
-        else:
-            out.append(d.X[:, rows] @ W[rows, l].astype(d.X.dtype))
-    return out
+    if 4 * len(rows) >= W.shape[0]:
+        return [d.X @ W[:, l].astype(d.X.dtype) for l, d in enumerate(data)]
+    Wr = W[rows]
+    return [d.X[:, rows] @ Wr[:, l].astype(d.X.dtype) for l, d in enumerate(data)]
 
 
 def _loss(P, data):
@@ -150,15 +170,14 @@ def _loss(P, data):
     total = 0.0
     for p, d in zip(P, data):
         r = p - d.y
-        total += float(np.dot(r, r)) / d.n
+        total += float(np.dot(r, r)) / len(r)
     return total
 
 
 def _grad(P, data, out):
     """Write (2 / N_l) X_l^T (P_l - y_l) into the columns of ``out``."""
     for l, (p, d) in enumerate(zip(P, data)):
-        r = np.subtract(p, d.y, dtype=d.X.dtype)
-        out[:, l] = (2.0 / d.n) * (d.X.T @ r)
+        out[:, l] = (2.0 / len(p)) * (d.X.T @ np.subtract(p, d.y, dtype=d.X.dtype))
     return out
 
 
@@ -172,8 +191,8 @@ def _smooth_grad(W, data):
 
 def penalty(W, mode):
     if mode == MODE_MTL:
-        return float(np.sum(_row_norms(W)))
-    return float(np.sum(np.abs(W)))
+        return float(_row_norms(W).sum())
+    return float(np.abs(W).sum())
 
 
 def objective(W, data, lam, mode=MODE_MTL):
@@ -194,13 +213,14 @@ def _prox(V, tau, mode):
     """Prox of tau * R at V: (result, nonzero-row mask, R(result))."""
     if mode == MODE_STL:
         out = soft_threshold(V, tau)
-        return out, np.any(out != 0, axis=1), float(np.sum(np.abs(out)))
+        return out, (out != 0).any(1), float(np.abs(out).sum())
     norms = _row_norms(V)
     keep = norms > tau
-    rows = np.flatnonzero(keep)
-    out = np.zeros_like(V)
-    out[rows] = V[rows] * (1.0 - tau / norms[rows])[:, None]
-    return out, keep, float(np.sum(norms[rows])) - tau * len(rows)
+    rows = keep.nonzero()[0]
+    kept = norms[rows]
+    out = np.zeros(V.shape)
+    out[rows] = V[rows] * (1.0 - tau / kept)[:, None]
+    return out, keep, float(kept.sum()) - tau * len(rows)
 
 
 def lambda_max(data, mode=MODE_MTL):
@@ -234,19 +254,22 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     if lam < 0:
         raise NegativeLambdaError(f"lambda = {lam}")
     k, n_tasks = data[0].k, len(data)
-    W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
-    _check_shapes(W, data)
+    if isinstance(w0, _Warm):  # a previous solve's result on the same data
+        W, ws = w0
+    else:
+        W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
+        _check_shapes(W, data)
+        ws = _nonzero_rows(W)
 
-    ws = _nonzero_rows(W)
-    G = np.empty_like(W)
+    G = np.empty((k, n_tasks), order="F")  # task-major: each X_l^T r_l is one column
     while 4 * len(ws) < k:
         if len(ws):
             sub = [d.columns(ws) for d in data]
             W[ws] = _fista(sub, lam, opts, W[ws])
         _grad(_products(W, data, ws), data, G)
-        score = _row_norms(G) if opts.mode == MODE_MTL else np.max(np.abs(G), axis=1)
+        score = _row_norms(G) if opts.mode == MODE_MTL else np.abs(G).max(1)
         score[ws] = 0.0
-        violators = np.flatnonzero(score > lam)
+        violators = (score > lam).nonzero()[0]
         if not len(violators):
             return W
         order = np.argsort(-score[violators], kind="stable")
@@ -275,14 +298,14 @@ def _fista(data, lam, opts, w0):
     drift. Iterates are float64; products run in X's dtype.
     """
     W = np.array(w0, dtype=np.float64)
-    mask = np.any(W != 0, axis=1)
-    P = _products(W, data, np.flatnonzero(mask))
+    mask = (W != 0).any(1)
+    P = _products(W, data, mask.nonzero()[0])
     W_prev, P_prev, mask_prev = W, P, mask
     G = np.empty_like(W)
     theta = 1.0
     step = INIT_STEP
     F = _loss(P, data) + lam * penalty(W, opts.mode)
-    best_F, best_W = F, W.copy()
+    best_F, best_W = F, W  # iterates are never written to once made
 
     for _ in range(opts.max_iters):
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
@@ -293,14 +316,11 @@ def _fista(data, lam, opts, w0):
 
         while True:
             W_new, mask_new, pen = _prox(Z - step * G, step * lam, opts.mode)
-            rows = np.flatnonzero(mask_new | mask_Z)
+            rows = (mask_new | mask_Z).nonzero()[0]
             D = W_new - Z
             Dr = D[rows]
             rhs = float(np.vdot(Dr, Dr)) / (2.0 * step)
-            curv = sum(
-                float(np.dot(x, x)) / d.n
-                for x, d in zip(_products(D, data, rows), data)
-            )
+            curv = sum([float(np.dot(x, x)) / len(x) for x in _products(D, data, rows)])
             if curv <= rhs + 1e-12 * max(1.0, rhs):
                 break
             step *= STEP_SHRINK
@@ -309,13 +329,13 @@ def _fista(data, lam, opts, w0):
 
         W_prev, P_prev, mask_prev = W, P, mask
         W, mask = W_new, mask_new
-        P = _products(W, data, np.flatnonzero(mask))
+        P = _products(W, data, mask.nonzero()[0])
         theta = theta_next
         F_new = _loss(P, data) + lam * pen
-        if not np.isfinite(F_new):
+        if not math.isfinite(F_new):
             raise NonFiniteError("objective diverged")
         if F_new < best_F:
-            best_F, best_W = F_new, W.copy()
+            best_F, best_W = F_new, W
         if abs(F_new - F) / max(1.0, abs(F)) < opts.rel_tol:
             break
         F = F_new
@@ -349,14 +369,14 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
         return best
 
     lo, hi = 0.0, lam_hi
-    W_warm = None
+    warm = None
     for _ in range(MAX_BISECT):
         if hi - lo <= opts.rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        W = solve(data, mid, opts, w0=W_warm)
-        W_warm = W
+        W = solve(data, mid, opts, w0=warm)
         rows = _nonzero_rows(W)
+        warm = _Warm((W, rows))
         S = rows[support(W[rows])]
         if len(S) <= budget:
             hi = mid

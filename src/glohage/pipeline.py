@@ -84,9 +84,7 @@ def _standardized(features, train_rows):
 def _centered_labels(tasks):
     # the selection problem has no intercept; removing the per-task label
     # mean keeps the age offset from swamping the bin correlations
-    return [
-        mtl.TaskDataset(t.task_id, t.X, t.y - t.y.mean()) for t in tasks
-    ]
+    return [t.with_labels(t.y - t.y.mean()) for t in tasks]
 
 
 def select_bins(manifest, features, config=RunConfig(), tasks=None):

@@ -102,7 +102,9 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
     mae = np.zeros(len(grid))
     for i in range(CV_FOLDS):
         fold = order[bounds[i] : bounds[i + 1]]
-        train = np.setdiff1d(order, fold)
+        keep = np.ones(n, dtype=bool)
+        keep[fold] = False
+        train = keep.nonzero()[0]  # ascending, as np.setdiff1d(order, fold)
         Xt, yt = X[train], y[train]
         x_mean, y_mean = Xt.mean(axis=0), yt.mean()
         Xc = Xt - x_mean

@@ -237,6 +237,29 @@ class TestSolve:
         mtl._smooth_grad(W, data)
         assert calls == {"_products": 2, "_loss": 1, "_grad": 1}
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_row_norms_bits_match_einsum(self, L, order):
+        # solve scores its task-major gradient with _row_norms; the bits must
+        # be those of the einsum over C-order rows that scored it before.
+        # einsum's own sums depend on the layout from three tasks on, so the
+        # reference is always taken over the C-order copy.
+        rng = np.random.default_rng(L)
+        G = rng.standard_normal((4896, L)) * np.exp(rng.uniform(-40, 40, (4896, 1)))
+        G[:4] = [[0.0], [-0.0], [1e-200], [1e200]]  # zero, signed zero, underflow, overflow
+        with np.errstate(over="ignore"):
+            ref = np.sqrt(np.einsum("ij,ij->i", G, G))
+            got = mtl._row_norms(np.asarray(G, order=order))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_with_labels_checks_only_y(self):
+        data = random_instance(24, K=8, N=6)
+        t = data[0].with_labels(data[0].y - 1.0)
+        assert np.shares_memory(t.X, data[0].X)
+        assert np.array_equal(t.y, data[0].y - 1.0)
+        with pytest.raises(NonFiniteError):
+            data[0].with_labels(np.full(6, np.inf))
+
 
 class TestWorkingSet:
     """solve grows a working set of rows; _fista is the full-width solver."""
@@ -383,6 +406,41 @@ class TestFitForBudget:
         )
         res = mtl.fit_for_budget(data, budget)
         assert len(calls) < 40
+        assert np.array_equal(res.selected, best)
+
+    def test_carried_working_set_matches_public_solve(self):
+        # fit_for_budget hands each solve the nonzero rows it already found;
+        # the same search through the public solve, which rescans w0, must
+        # give the same bytes
+        rng = np.random.default_rng(25)
+        K = 600
+        w = np.zeros(K)
+        w[rng.choice(K, 15, replace=False)] = rng.uniform(1, 2, 15)
+        data = []
+        for l, n in enumerate((45, 38)):
+            X = rng.standard_normal((n, K), dtype=np.float32)
+            data.append(TaskDataset(f"t{l}", X, X @ w + 0.5 * rng.standard_normal(n)))
+        budget, opts = 10, SolverOptions()
+
+        lo, hi = 0.0, mtl.lambda_max(data)
+        lam, best_W, best = hi, np.zeros((K, 2)), np.array([], dtype=int)
+        W = None
+        for _ in range(mtl.MAX_BISECT):
+            if hi - lo <= opts.rel_tol * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            W = mtl.solve(data, mid, opts, w0=W)
+            S = mtl.support(W)
+            if len(S) <= budget:
+                hi = mid
+                if len(S) > len(best) or (len(S) == len(best) and mid < lam):
+                    lam, best_W, best = mid, W.copy(), S
+            else:
+                lo = mid
+
+        res = mtl.fit_for_budget(data, budget, opts)
+        assert res.lam == lam
+        assert res.W.tobytes() == best_W.tobytes()
         assert np.array_equal(res.selected, best)
 
 
