@@ -117,6 +117,14 @@ def split_lopo(manifest):
     return folds
 
 
+def check_row_count(manifest, features):
+    """Raise RowCountMismatchError unless there is one feature row per sample."""
+    if features.shape[0] != len(manifest.samples):
+        raise RowCountMismatchError(
+            f"feature rows {features.shape[0]} != manifest size {len(manifest.samples)}"
+        )
+
+
 def partition_by_task(rows, manifest, features):
     """Build male/female TaskDatasets from the given manifest rows.
 
@@ -124,10 +132,7 @@ def partition_by_task(rows, manifest, features):
     follows manifest order.
     """
     features = np.asarray(features)
-    if features.shape[0] != len(manifest.samples):
-        raise RowCountMismatchError(
-            f"feature rows {features.shape[0]} != manifest size {len(manifest.samples)}"
-        )
+    check_row_count(manifest, features)
     tasks = []
     for label, genders in ((MALE, (MALE, UNKNOWN)), (FEMALE, (FEMALE, UNKNOWN))):
         idx = [r for r in sorted(rows) if manifest.samples[r].gender in genders]

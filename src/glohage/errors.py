@@ -46,14 +46,6 @@ class ImageTooSmallError(GlohError):
     code = "ImageTooSmall"
 
 
-class PatchOutOfBoundsError(GlohError):
-    code = "PatchOutOfBounds"
-
-
-class NegativeEntryError(GlohError):
-    code = "NegativeEntry"
-
-
 # --- sparse selection solver ---
 
 class ShapeMismatchError(GlohError):

@@ -8,13 +8,15 @@ with R(W) = sum_k ||W[k, :]||_2 in multi-task ("mtl") mode, and
 R(W) = sum of |W| entries in single-task ("stl") mode. Bins whose
 coefficient row survives thresholding are the selected features.
 
-``solve`` works on a growing set of rows. Each outer pass runs FISTA
-(accelerated proximal gradient) with backtracking on the working set's
-columns of X, then takes one task-major full-width gradient (each
-X_l^T r_l a contiguous column) and adds the rows outside the set that
-break their zero-row optimality condition; when none does, the result is
-optimal for the full problem to the subproblem's tolerance. Almost every
-row is zero at our budgets, so FISTA runs on a few hundred columns, not K.
+``solve`` works on a growing set of rows. Each outer pass gathers the
+set's columns of X once, for FISTA (accelerated proximal gradient) with
+backtracking and for the residuals, then takes one task-major full-width
+gradient (each X_l^T r_l a contiguous column) and adds the rows outside
+the set that break their zero-row optimality condition; when none does,
+the result is optimal for the full problem to the subproblem's tolerance.
+Almost every row is zero at our budgets, so FISTA runs on a few hundred
+columns, not K. The prox, penalty, KKT score, lambda_max and support all
+take one row norm, ``_row_norms``, so they read the same bits.
 
 FISTA carries the products X_l w_l of its iterates. One iteration makes
 a single product with all of its columns, the gradient X_l^T r_l at the
@@ -143,13 +145,12 @@ def _nonzero_rows(W):
 
 
 def _row_norms(W):
-    # per task column (contiguous in the task-major gradient), summed as einsum
-    # sums a C-order row of <= 7 tasks: even and odd columns apart, then added
-    sq = [W[:, l] * W[:, l] for l in range(W.shape[1])]
-    for l in range(2, len(sq)):
-        sq[l % 2] += sq[l]
-    total = sq[0] + sq[1] if len(sq) > 1 else sq[0]
-    return np.sqrt(total, out=total)
+    # the module's one row norm: task columns (contiguous in the task-major
+    # gradient) summed left to right, as numpy's norm(axis=1) sums < 8 columns
+    total = W[:, 0] * W[:, 0]
+    for l in range(1, W.shape[1]):
+        total += W[:, l] * W[:, l]
+    return np.sqrt(total)
 
 
 def _products(W, data, rows):
@@ -181,14 +182,6 @@ def _grad(P, data, out):
     return out
 
 
-def _smooth_loss(W, data):
-    return _loss(_products(W, data, _nonzero_rows(W)), data)
-
-
-def _smooth_grad(W, data):
-    return _grad(_products(W, data, _nonzero_rows(W)), data, np.empty_like(W))
-
-
 def penalty(W, mode):
     if mode == MODE_MTL:
         return float(_row_norms(W).sum())
@@ -201,7 +194,7 @@ def objective(W, data, lam, mode=MODE_MTL):
         raise NegativeLambdaError(f"lambda = {lam}")
     W = np.asarray(W, dtype=np.float64)
     _check_shapes(W, data)
-    return _smooth_loss(W, data) + lam * penalty(W, mode)
+    return _loss(_products(W, data, _nonzero_rows(W)), data) + lam * penalty(W, mode)
 
 
 def soft_threshold(x, tau):
@@ -229,7 +222,7 @@ def lambda_max(data, mode=MODE_MTL):
     # mixed-dtype matmul would first copy all of X to float64
     G = np.column_stack([(2.0 / d.n) * np.einsum("nk,n->k", d.X, d.y) for d in data])
     if mode == MODE_MTL:
-        return float(np.max(np.linalg.norm(G, axis=1)))
+        return float(np.max(_row_norms(G)))
     return float(np.max(np.abs(G)))
 
 
@@ -263,10 +256,10 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
 
     G = np.empty((k, n_tasks), order="F")  # task-major: each X_l^T r_l is one column
     while 4 * len(ws) < k:
+        sub = [d.columns(ws) for d in data]
         if len(ws):
-            sub = [d.columns(ws) for d in data]
             W[ws] = _fista(sub, lam, opts, W[ws])
-        _grad(_products(W, data, ws), data, G)
+        _grad(_products(W[ws], sub, range(len(ws))), data, G)
         score = _row_norms(G) if opts.mode == MODE_MTL else np.abs(G).max(1)
         score[ws] = 0.0
         violators = (score > lam).nonzero()[0]
@@ -344,7 +337,7 @@ def _fista(data, lam, opts, w0):
 
 def support(W, epsilon=SUPPORT_EPSILON):
     """Ascending indices of rows with Euclidean norm above epsilon."""
-    return np.flatnonzero(np.linalg.norm(np.atleast_2d(W), axis=1) > epsilon)
+    return np.flatnonzero(_row_norms(np.atleast_2d(W)) > epsilon)
 
 
 def fit_for_budget(data, budget, opts=SolverOptions()):

@@ -9,7 +9,7 @@ import numpy as np
 from . import dataset as ds
 from . import featfile, metrics, mtl, ridge
 from . import gloh as gloh_mod
-from .errors import EmptyError, RowCountMismatchError
+from .errors import EmptyError
 
 
 @dataclass
@@ -113,6 +113,8 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
 
 def predict_rows(model, features, manifest=None, rows=None):
     """Predict ages for feature rows; gender (if known) picks the task model."""
+    if manifest is not None:
+        ds.check_row_count(manifest, features)
     if rows is None:
         rows = range(features.shape[0])
     preds = []
@@ -129,10 +131,7 @@ def predict_rows(model, features, manifest=None, rows=None):
 def evaluate_lopo(manifest, features, config=RunConfig()):
     """Leave-one-person-out evaluation of the full selection+ridge pipeline."""
     features = np.asarray(features)
-    if features.shape[0] != len(manifest.samples):
-        raise RowCountMismatchError(
-            f"feature rows {features.shape[0]} != manifest size {len(manifest.samples)}"
-        )
+    ds.check_row_count(manifest, features)
     manifest, features = _filter_age_range(manifest, features, config.age_range)
     folds = ds.split_lopo(manifest)
     results = []

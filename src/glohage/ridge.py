@@ -190,9 +190,10 @@ def write_model(path, model):
 def read_model(path):
     """Inverse of write_model.
 
-    Every task needs alpha, intercept and one ``bin weight`` line per
-    selected bin, the same bins for every task; anything else raises a
-    GlohError.
+    Every task appears once, with finite alpha and intercept, one finite
+    ``clamp=lo hi`` (lo <= hi, the same for every task) and one ``bin
+    weight`` line per selected bin, the same bins for every task; anything
+    else raises a GlohError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -205,10 +206,12 @@ def read_model(path):
         raise ShapeMismatchError(f"not a GLOHRIDGE file: {path}")
     model = RidgeModel(selected=np.array([], dtype=int))
     task = None
-    bins = {}
+    bins, clamps = {}, {}
     for lineno, ln in lines[1:]:
         if ln.startswith("task="):
             task = ln.split("=", 1)[1]
+            if task in bins:
+                raise MalformedRowError(f"{path}:{lineno}: task {task!r} repeated")
             bins[task], model.weights[task] = [], []
             continue
         if task is None:
@@ -219,8 +222,10 @@ def read_model(path):
             elif ln.startswith("intercept="):
                 model.intercepts[task] = float(ln.split("=", 1)[1])
             elif ln.startswith("clamp="):
-                lo, hi = ln.split("=", 1)[1].split()
-                model.clamp = (float(lo), float(hi))
+                lo, hi = map(float, ln.split("=", 1)[1].split())
+                if lo > hi:
+                    raise MalformedRowError(f"{path}:{lineno}: clamp min > max")
+                clamps[task] = (lo, hi)
             else:
                 k, w = ln.split()
                 if int(k) < 0:
@@ -238,8 +243,13 @@ def read_model(path):
                 f"{path}: task {task!r} lists other bins than task {tasks[0]!r}"
             )
         model.weights[task] = np.array(model.weights[task])
-        if not np.all(np.isfinite(model.weights[task])):
-            raise NonFiniteError(f"{path}: task {task!r} has a non-finite weight")
+        scalars = [model.alphas[task], model.intercepts[task], *clamps.get(task, ())]
+        if not np.all(np.isfinite([*model.weights[task], *scalars])):
+            raise NonFiniteError(f"{path}: task {task!r} has a non-finite value")
+    for task in tasks:  # clamps only after every task's bins and weights passed
+        if task not in clamps or clamps[task] != clamps[tasks[0]]:
+            raise MalformedRowError(f"{path}: task {task!r}: clamp missing or differs")
     if tasks:
         model.selected = np.array(bins[tasks[0]], dtype=int)
+        model.clamp = clamps[tasks[0]]
     return model

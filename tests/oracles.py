@@ -3,20 +3,17 @@
 Plain, slow implementations kept out of the package: the GLOH histogram
 of one patch and its normalization, the sliding-window GLOH extractor
 that pins the package's feature bytes, the group soft-threshold of one row
-(the prox of its Euclidean norm), a cyclic block-coordinate-descent
-solver for the selection problem, and ridge cross-validation with one
-Cholesky fit per alpha and fold.
+(the prox of its Euclidean norm), the gradient of the selection problem's
+smooth part, a cyclic block-coordinate-descent solver for that problem,
+and ridge cross-validation with one Cholesky fit per alpha and fold.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.optimize import brentq
 
-from glohage.errors import (
-    NegativeEntryError,
-    NegativeLambdaError,
-    PatchOutOfBoundsError,
-)
+from glohage import mtl
+from glohage.errors import GlohError, NegativeLambdaError
 from glohage.gloh import (
     TWO_PI,
     GlohParams,
@@ -32,6 +29,14 @@ from glohage.mtl import (
     soft_threshold,
 )
 from glohage.ridge import fit_ridge
+
+
+class PatchOutOfBoundsError(GlohError):
+    code = "PatchOutOfBounds"
+
+
+class NegativeEntryError(GlohError):
+    code = "NegativeEntry"
 
 
 def normalize_descriptor(vec, clip_threshold=0.2):
@@ -140,6 +145,16 @@ def group_soft_threshold(row, tau):
     if norm <= tau:
         return np.zeros_like(row)
     return row * (1.0 - tau / norm)
+
+
+def smooth_grad(W, data):
+    """Gradient of the smooth part sum_l ||y_l - X_l w_l||^2 / N_l at W.
+
+    Built from the solver's own product and gradient helpers, looked up on
+    the module at call time, so a test can count or replace them.
+    """
+    P = mtl._products(W, data, mtl._nonzero_rows(W))
+    return mtl._grad(P, data, np.empty_like(W))
 
 
 def _cd_row_update(b, a, lam):

@@ -120,13 +120,14 @@ def test_criterion_06_gradient_check():
         data = random_instance(seed, K=6, L=2, N=8)
         rng = np.random.default_rng(100 + seed)
         W = rng.standard_normal((6, 2))
-        G = mtl._smooth_grad(W, data)
+        G = oracles.smooth_grad(W, data)
         for k in range(6):
             for l in range(2):
                 Wp, Wm = W.copy(), W.copy()
                 Wp[k, l] += h
                 Wm[k, l] -= h
-                fd = (mtl._smooth_loss(Wp, data) - mtl._smooth_loss(Wm, data)) / (
+                # at lambda = 0 the objective is the smooth part alone
+                fd = (mtl.objective(Wp, data, 0.0) - mtl.objective(Wm, data, 0.0)) / (
                     2 * h
                 )
                 worst = max(worst, abs(fd - G[k, l]) / max(1.0, abs(fd)))

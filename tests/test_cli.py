@@ -367,6 +367,24 @@ class TestErrorContract:
             capsys, "MalformedRow",
         )
 
+    @pytest.mark.parametrize("n_rows", [4, 13])  # the features have 12 rows
+    def test_predict_manifest_row_count(self, tmp_path, capsys, n_rows):
+        man, feat = make_feature_corpus(tmp_path)
+        lines = open(man).read().splitlines()[: n_rows + 1]
+        lines += [f"synthetic:{i},extra,30,m" for i in range(12, n_rows)]
+        rows_csv = tmp_path / "rows.csv"
+        rows_csv.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "model.txt"
+        model.write_text("GLOHRIDGE 1\n" + "".join(
+            f"task={t}\nalpha=1.0\nintercept=30.0\nclamp=0.0 69.0\n3 1.0\n"
+            for t in ("male", "female", "pooled")
+        ))
+        self.run_failing(
+            ["predict", "--model", str(model), "--features", feat,
+             "--manifest", str(rows_csv), "--out", str(tmp_path / "pred.csv")],
+            capsys, "RowCountMismatch",
+        )
+
     def test_manifest_not_utf8(self, tmp_path, capsys):
         man = tmp_path / "manifest.csv"
         man.write_bytes(b"path,person_id,age,gender\nface\xff.pgm,p0,20,m\n")

@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from glohage import gloh
-from glohage.errors import (
-    ImageTooSmallError,
-    NegativeEntryError,
-    PatchOutOfBoundsError,
-)
+from glohage.errors import ImageTooSmallError
 from glohage.gloh import GlohParams
 
 import oracles
+from oracles import NegativeEntryError, PatchOutOfBoundsError
 
 DEFAULTS = GlohParams()
 

@@ -179,14 +179,17 @@ class TestSolve:
         data = random_instance(11, K=8, L=2, N=10)
         rng = np.random.default_rng(12)
         W = rng.standard_normal((8, 2))
-        G = mtl._smooth_grad(W, data)
+        G = oracles.smooth_grad(W, data)
         h = 1e-5
         for k in range(8):
             for l in range(2):
                 Wp, Wm = W.copy(), W.copy()
                 Wp[k, l] += h
                 Wm[k, l] -= h
-                fd = (mtl._smooth_loss(Wp, data) - mtl._smooth_loss(Wm, data)) / (2 * h)
+                # at lambda = 0 the objective is the smooth part alone
+                fd = (mtl.objective(Wp, data, 0.0) - mtl.objective(Wm, data, 0.0)) / (
+                    2 * h
+                )
                 assert abs(fd - G[k, l]) / max(1.0, abs(fd)) < 1e-4
 
 
@@ -217,8 +220,9 @@ class TestSolve:
             assert np.allclose(p, d.X @ w, rtol=1e-12, atol=1e-12)
 
     def test_solve_and_smooth_parts_share_helpers(self, monkeypatch):
-        # the gradient check (criterion 6) differentiates _smooth_loss and
-        # _smooth_grad; they must run the same helpers as solve
+        # the gradient check (criterion 6) differentiates objective at
+        # lambda = 0 against oracles.smooth_grad; they must run the same
+        # helpers as solve
         calls = {"_products": 0, "_loss": 0, "_grad": 0}
         for name in calls:
             fn = getattr(mtl, name)
@@ -233,24 +237,49 @@ class TestSolve:
         assert all(calls.values())
         calls.update(dict.fromkeys(calls, 0))
         W = np.ones((10, 2))
-        mtl._smooth_loss(W, data)
-        mtl._smooth_grad(W, data)
+        mtl.objective(W, data, 0.0)
+        oracles.smooth_grad(W, data)
         assert calls == {"_products": 2, "_loss": 1, "_grad": 1}
+
+    @staticmethod
+    def norm_test_rows(L, K):
+        rng = np.random.default_rng(L)
+        G = rng.standard_normal((K, L)) * np.exp(rng.uniform(-40, 40, (K, 1)))
+        G[:4] = [[0.0], [-0.0], [1e-200], [1e200]]  # zero, signed zero, underflow, overflow
+        return G
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("L", [1, 2, 3])
     def test_row_norms_bits_match_einsum(self, L, order):
-        # solve scores its task-major gradient with _row_norms; the bits must
-        # be those of the einsum over C-order rows that scored it before.
-        # einsum's own sums depend on the layout from three tasks on, so the
-        # reference is always taken over the C-order copy.
-        rng = np.random.default_rng(L)
-        G = rng.standard_normal((4896, L)) * np.exp(rng.uniform(-40, 40, (4896, 1)))
-        G[:4] = [[0.0], [-0.0], [1e-200], [1e200]]  # zero, signed zero, underflow, overflow
+        # solve scores its task-major gradient with _row_norms; for one and
+        # two tasks the bits must be those of the einsum over C-order rows
+        # that scored it before. einsum's own sums depend on numpy's SIMD
+        # dispatch from three tasks on, so the reference is np.linalg.norm,
+        # which sums as einsum does for up to two tasks.
+        G = self.norm_test_rows(L, 4896)
         with np.errstate(over="ignore"):
-            ref = np.sqrt(np.einsum("ij,ij->i", G, G))
+            ref = np.linalg.norm(G, axis=1)
             got = mtl._row_norms(np.asarray(G, order=order))
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_support_and_lambda_max_read_the_same_norm(self, order):
+        # with three tasks the solver's row norm, the norm support thresholds
+        # and lambda_max's norm must all be the bits of np.linalg.norm
+        G = np.asarray(self.norm_test_rows(3, 256), order=order)
+        with np.errstate(over="ignore"):
+            ref = np.linalg.norm(G, axis=1)
+            got = mtl._row_norms(G)
+            lam = np.array([
+                mtl.lambda_max([TaskDataset(f"t{l}", G[i:i + 1, l:l + 1], [0.5])
+                                for l in range(3)])  # gradient 2 * x * 0.5 = x
+                for i in range(len(G))
+            ])
+            for i, r in enumerate(ref):
+                assert i not in mtl.support(G, r)
+                assert i in mtl.support(G, np.nextafter(r, -np.inf))
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(lam.view(np.uint64), ref.view(np.uint64))
 
     def test_with_labels_checks_only_y(self):
         data = random_instance(24, K=8, N=6)
@@ -278,7 +307,7 @@ class TestWorkingSet:
 
     @staticmethod
     def kkt_scores(W, data, mode):
-        G = mtl._smooth_grad(W, data)
+        G = oracles.smooth_grad(W, data)
         if mode == mtl.MODE_MTL:
             return np.linalg.norm(G, axis=1)
         return np.max(np.abs(G), axis=1)
@@ -302,6 +331,25 @@ class TestWorkingSet:
             assert all(w < 300 for w in widths[:-1])
             zero = ~np.any(W != 0, axis=1)
             assert np.all(self.kkt_scores(W, data, mode)[zero] <= lam * (1 + 1e-3))
+
+    def test_no_full_width_products_in_working_set_regime(self, monkeypatch):
+        # each outer pass gathers X_l[:, ws] once and forms both FISTA's
+        # products and the KKT residuals from it
+        fista_widths = self.spy_fista(monkeypatch)
+        widths = []
+        products = mtl._products
+
+        def spy(W, data, rows):
+            widths.append(data[0].k)
+            return products(W, data, rows)
+
+        monkeypatch.setattr(mtl, "_products", spy)
+        data = random_instance(30, K=300, N=40)
+        lam = 0.3 * mtl.lambda_max(data)
+        W = mtl.solve(data, lam)
+        mtl.solve(data, 0.6 * lam, w0=W)
+        assert fista_widths and max(fista_widths) < 300  # no K/4 fallback
+        assert widths and max(widths) < 300
 
     def test_warm_start_never_worse(self):
         data = random_instance(33, K=300, N=40)

@@ -260,6 +260,27 @@ def test_model_file_roundtrip(tmp_path):
         ),
         ("task=m\nalpha=1.0\nintercept=2.0\n3 inf\n", NonFiniteError),
         ("task=m\nalpha=1.0\nintercept=2.0\n-3 1.0\n", MalformedRowError),
+        (  # a repeated task
+            "task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 69.0\n3 1.0\n"
+            "task=m\nalpha=2.0\nintercept=3.0\nclamp=0.0 69.0\n3 2.0\n",
+            MalformedRowError,
+        ),
+        ("task=m\nalpha=1.0\nintercept=2.0\n3 1.0\n", MalformedRowError),  # no clamp
+        (  # clamp on the first task only
+            "task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 69.0\n3 1.0\n"
+            "task=f\nalpha=1.0\nintercept=2.0\n3 1.0\n",
+            MalformedRowError,
+        ),
+        (  # clamps that differ between tasks
+            "task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 69.0\n3 1.0\n"
+            "task=f\nalpha=1.0\nintercept=2.0\nclamp=0.0 70.0\n3 1.0\n",
+            MalformedRowError,
+        ),
+        ("task=m\nalpha=1.0\nintercept=2.0\nclamp=69.0 0.0\n3 1.0\n", MalformedRowError),
+        ("task=m\nalpha=nan\nintercept=2.0\nclamp=0.0 69.0\n3 1.0\n", NonFiniteError),
+        ("task=m\nalpha=1.0\nintercept=nan\nclamp=0.0 69.0\n3 1.0\n", NonFiniteError),
+        ("task=m\nalpha=1.0\nintercept=2.0\nclamp=-inf 69.0\n3 1.0\n", NonFiniteError),
+        ("task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 nan\n3 1.0\n", NonFiniteError),
     ],
 )
 def test_model_reader_rejects(tmp_path, body, error):
