@@ -112,20 +112,21 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
 
 
 def predict_rows(model, features, manifest=None, rows=None):
-    """Predict ages for feature rows; gender (if known) picks the task model."""
+    """Predict ages for feature rows; gender (if known) picks the task model,
+    and each task's rows go to ridge.predict in one call."""
     if manifest is not None:
         ds.check_row_count(manifest, features)
-    if rows is None:
-        rows = range(features.shape[0])
-    preds = []
-    for r in rows:
-        task = ridge.POOLED
-        if manifest is not None:
-            g = manifest.samples[r].gender
-            if g in (ds.MALE, ds.FEMALE):
-                task = g
-        preds.append(ridge.predict(model, features[r], task))
-    return np.array(preds)
+    rows = np.arange(features.shape[0]) if rows is None else np.asarray(rows, dtype=int)
+    tasks = np.full(len(rows), ridge.POOLED, dtype=object)
+    if manifest is not None:
+        for i, r in enumerate(rows):
+            if manifest.samples[r].gender in (ds.MALE, ds.FEMALE):
+                tasks[i] = manifest.samples[r].gender
+    preds = np.empty(len(rows))
+    for task in dict.fromkeys(tasks):
+        pick = tasks == task
+        preds[pick] = ridge.predict(model, features[rows[pick]], task)
+    return preds
 
 
 def evaluate_lopo(manifest, features, config=RunConfig()):

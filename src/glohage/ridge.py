@@ -2,15 +2,14 @@
 
 The sparse selection solver underestimates coefficient magnitudes, so the
 final per-task age regressors are refit by ridge regression restricted to
-the selected bins. Fitting centers both features and labels, solves the
-regularized normal equations, and recovers an intercept; predictions are
+the selected bins. Fitting centers both features and labels, decomposes the
+centered Gram matrix once, and recovers an intercept; predictions are
 clamped to the training label range.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     FeatureTooShortError,
@@ -40,8 +39,29 @@ class RidgeModel:
     clamp: tuple = (0.0, 130.0)  # (min_age, max_age) from training labels
 
 
+def _ridge_path(X, y, alphas):
+    """Centered ridge weights W (bins, alphas) of every alpha, x_mean and y_mean.
+
+    With Xc^T Xc = V diag(e) V^T, W[:, j] = V diag(1 / (e + alphas[j])) V^T Xc^T yc;
+    e + alpha at or below numpy's matrix_rank tolerance raises SingularSystemError.
+    """
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc = X - x_mean
+    e, V = np.linalg.eigh(Xc.T @ Xc)
+    shifted = e[:, None] + alphas  # (bins, alphas)
+    tol = np.finfo(np.float64).eps * len(e) * np.abs(e).max(initial=0.0)
+    singular = np.any(shifted <= tol, axis=0)
+    if singular.any():
+        raise SingularSystemError(
+            f"normal equations singular (alpha={alphas[singular][0]}); "
+            "increase alpha"
+        )
+    W = V @ ((V.T @ (Xc.T @ (y - y_mean)))[:, None] / shifted)
+    return W, x_mean, y_mean
+
+
 def fit_ridge(X, y, alpha):
-    """Solve centered ridge normal equations; returns (weights, intercept).
+    """Centered ridge regression; returns (weights, intercept).
 
     With alpha = 0 the design must have full column rank after centering,
     otherwise SingularSystemError is raised.
@@ -52,24 +72,8 @@ def fit_ridge(X, y, alpha):
         raise ShapeMismatchError(f"X {X.shape} vs y {y.shape}")
     if alpha < 0:
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
-
-    y_mean = y.mean()
-    if X.shape[1] == 0:
-        # intercept-only model (empty selection)
-        return np.zeros(0), float(y_mean)
-    x_mean = X.mean(axis=0)
-    Xc = X - x_mean
-    yc = y - y_mean
-    A = Xc.T @ Xc + alpha * np.eye(X.shape[1])
-    rhs = Xc.T @ yc
-    try:
-        w = cho_solve(cho_factor(A), rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(
-            f"normal equations singular (alpha={alpha}); increase alpha"
-        )
-    intercept = y_mean - float(x_mean @ w)
-    return w, intercept
+    W, x_mean, y_mean = _ridge_path(X, y, np.array([alpha], dtype=np.float64))
+    return W[:, 0], y_mean - float(x_mean @ W[:, 0])
 
 
 def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
@@ -77,11 +81,9 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
 
     The CV_FOLDS folds are contiguous blocks of a seeded shuffle, so the
     choice is deterministic for a given seed. A one-value grid is returned
-    without cross-validation. Each training split is centered and its Gram
-    matrix Xc^T Xc = V diag(e) V^T is decomposed once; the ridge weights
-    of every alpha follow as V diag(1 / (e + alpha)) V^T Xc^T yc. A grid
-    value that leaves e + alpha numerically singular on a split raises
-    SingularSystemError, as fit_ridge would.
+    without cross-validation. Each training split takes one _ridge_path
+    call for the whole grid, so a grid value that is numerically singular
+    on a split raises SingularSystemError, as fit_ridge would.
     """
     grid = list(grid)
     if not grid:
@@ -105,20 +107,7 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
         keep = np.ones(n, dtype=bool)
         keep[fold] = False
         train = keep.nonzero()[0]  # ascending, as np.setdiff1d(order, fold)
-        Xt, yt = X[train], y[train]
-        x_mean, y_mean = Xt.mean(axis=0), yt.mean()
-        Xc = Xt - x_mean
-        e, V = np.linalg.eigh(Xc.T @ Xc)
-        shifted = e[:, None] + alphas  # (bins, alphas)
-        # the rank tolerance of numpy's matrix_rank
-        tol = np.finfo(np.float64).eps * len(e) * np.abs(e).max(initial=0.0)
-        singular = np.any(shifted <= tol, axis=0)
-        if singular.any():
-            raise SingularSystemError(
-                f"normal equations singular (alpha={alphas[singular][0]}); "
-                "increase alpha"
-            )
-        W = V @ ((V.T @ (Xc.T @ (yt - y_mean)))[:, None] / shifted)
+        W, x_mean, y_mean = _ridge_path(X[train], y[train], alphas)
         pred = (X[fold] - x_mean) @ W + y_mean
         mae += np.mean(np.abs(pred - y[fold][:, None]), axis=0)
 
@@ -160,17 +149,19 @@ def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
 
 
 def predict(model, x, task=POOLED):
-    """Predict an age for one full-length feature vector, clamped."""
+    """Clamped ages for one full-length feature vector (a float) or for each
+    row of a matrix of them (an array)."""
     if task not in model.weights:
         raise UnknownTaskError(f"no regressor for task {task!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if model.selected.size and x.shape[-1] <= int(model.selected.max()):
         raise FeatureTooShortError(
             f"feature length {x.shape[-1]} < required {int(model.selected.max()) + 1}"
         )
-    raw = float(x[model.selected] @ model.weights[task]) + model.intercepts[task]
-    lo, hi = model.clamp
-    return min(max(raw, lo), hi)
+    # gather the selected bins before the cast: no full-width float64 copy
+    raw = x[..., model.selected].astype(np.float64) @ model.weights[task]
+    pred = np.clip(raw + model.intercepts[task], *model.clamp)
+    return float(pred) if x.ndim == 1 else pred
 
 
 # --- GLOHRIDGE text serialization ---
@@ -190,10 +181,10 @@ def write_model(path, model):
 def read_model(path):
     """Inverse of write_model.
 
-    Every task appears once, with finite alpha and intercept, one finite
+    Every task appears once, with one finite alpha and intercept, one finite
     ``clamp=lo hi`` (lo <= hi, the same for every task) and one ``bin
-    weight`` line per selected bin, the same bins for every task; anything
-    else raises a GlohError.
+    weight`` line per selected bin, strictly ascending and the same bins for
+    every task; anything else raises a GlohError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -206,7 +197,7 @@ def read_model(path):
         raise ShapeMismatchError(f"not a GLOHRIDGE file: {path}")
     model = RidgeModel(selected=np.array([], dtype=int))
     task = None
-    bins, clamps = {}, {}
+    bins, clamps, seen = {}, {}, set()  # seen: (task, text before "=") per line
     for lineno, ln in lines[1:]:
         if ln.startswith("task="):
             task = ln.split("=", 1)[1]
@@ -216,13 +207,17 @@ def read_model(path):
             continue
         if task is None:
             raise MalformedRowError(f"{path}:{lineno}: line before the first task=")
+        key, eq, value = ln.partition("=")
+        if eq and (task, key) in seen:
+            raise MalformedRowError(f"{path}:{lineno}: {key}= repeated in task {task!r}")
+        seen.add((task, key))
         try:
             if ln.startswith("alpha="):
-                model.alphas[task] = float(ln.split("=", 1)[1])
+                model.alphas[task] = float(value)
             elif ln.startswith("intercept="):
-                model.intercepts[task] = float(ln.split("=", 1)[1])
+                model.intercepts[task] = float(value)
             elif ln.startswith("clamp="):
-                lo, hi = map(float, ln.split("=", 1)[1].split())
+                lo, hi = map(float, value.split())
                 if lo > hi:
                     raise MalformedRowError(f"{path}:{lineno}: clamp min > max")
                 clamps[task] = (lo, hi)
@@ -230,6 +225,8 @@ def read_model(path):
                 k, w = ln.split()
                 if int(k) < 0:
                     raise MalformedRowError(f"{path}:{lineno}: negative bin {k}")
+                if bins[task] and int(k) <= bins[task][-1]:
+                    raise MalformedRowError(f"{path}:{lineno}: bins not strictly ascending")
                 bins[task].append(int(k))
                 model.weights[task].append(float(w))
         except ValueError:

@@ -5,11 +5,13 @@ of one patch and its normalization, the sliding-window GLOH extractor
 that pins the package's feature bytes, the group soft-threshold of one row
 (the prox of its Euclidean norm), the gradient of the selection problem's
 smooth part, a cyclic block-coordinate-descent solver for that problem,
-and ridge cross-validation with one Cholesky fit per alpha and fold.
+a ridge fit by a Cholesky solve of the normal equations (``fit_ridge``),
+and ridge cross-validation with one such fit per alpha and fold.
 """
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 from glohage import mtl
@@ -28,7 +30,6 @@ from glohage.mtl import (
     objective,
     soft_threshold,
 )
-from glohage.ridge import fit_ridge
 
 
 class PatchOutOfBoundsError(GlohError):
@@ -223,6 +224,20 @@ def solve_cd_oracle(data, lam, opts=SolverOptions()):
             break
         F = F_new
     return W
+
+
+def fit_ridge(X, y, alpha):
+    """Centered ridge regression by a Cholesky solve of the normal equations
+    (Xc^T Xc + alpha I) w = Xc^T yc; returns (weights, intercept)."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    if X.shape[1] == 0:
+        return np.zeros(0), float(y_mean)
+    Xc = X - x_mean
+    A = Xc.T @ Xc + alpha * np.eye(X.shape[1])
+    w = cho_solve(cho_factor(A), Xc.T @ (y - y_mean))
+    return w, y_mean - float(x_mean @ w)
 
 
 def select_alpha_oracle(X, y, grid, k=5, seed=0):

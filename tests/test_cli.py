@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -417,3 +419,31 @@ def test_readme_lists_every_config_key():
     section = readme.split("Config keys", 1)[1].split("\n## ", 1)[0]
     keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
     assert sorted(keys) == sorted(cli.SETTINGS)
+
+
+# the same commands run in the CI workflow's numpy-only step
+NUMPY_ONLY_RUN = [
+    "synth --out-dir {d} --k 40 --n 20 --support 4",
+    "train --manifest {d}/manifest.csv --features {d}/features.gfv"
+    " --out {d}/model.txt --budget 4",
+    "predict --model {d}/model.txt --features {d}/features.gfv"
+    " --manifest {d}/manifest.csv --out {d}/preds.csv",
+    "evaluate --manifest {d}/manifest.csv --features {d}/features.gfv"
+    " --out {d}/report.csv --budget 4",
+]
+
+
+def test_runs_end_to_end_without_scipy(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    block_scipy = (
+        "import sys; sys.modules['scipy'] = None; "
+        "from glohage.cli import main; sys.exit(main())"
+    )
+    for cmd in NUMPY_ONLY_RUN:
+        done = subprocess.run(
+            [sys.executable, "-c", block_scipy, *cmd.format(d=tmp_path).split()],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+        )
+        assert done.returncode == 0, (cmd, done.stderr)
+    assert (tmp_path / "report.csv").read_text().startswith("summary,")

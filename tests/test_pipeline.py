@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glohage import dataset as ds
-from glohage import featfile, mtl, pipeline
+from glohage import featfile, mtl, pipeline, ridge
 
 
 def synth_corpus(tmp_path, seed=5):
@@ -53,6 +53,29 @@ def test_no_held_out_row_reaches_a_fold_fit(
         assert all(kept.samples[r].person_id != fold.held_out_person for r in rows)
         # every synthetic row has a known gender, so it is in exactly one task
         assert sum(t.X.shape[0] for t in tasks) == len(fold.train_rows)
+
+
+def test_predict_rows_gives_each_row_its_task():
+    rng = np.random.default_rng(29)
+    genders = [ds.MALE, ds.FEMALE, ds.UNKNOWN, ds.FEMALE, ds.MALE, ds.UNKNOWN, ds.FEMALE]
+    manifest = ds.Manifest(
+        [ds.Sample(f"synthetic:{i}", f"p{i}", 30, g) for i, g in enumerate(genders)]
+    )
+    features = rng.standard_normal((len(genders), 5)).astype(np.float32)
+    model = ridge.RidgeModel(selected=np.array([0, 3]), clamp=(-1e9, 1e9))
+    for task in (ds.MALE, ds.FEMALE, ridge.POOLED):
+        model.weights[task] = rng.standard_normal(2)
+        model.intercepts[task] = float(rng.standard_normal())
+        model.alphas[task] = 1.0
+
+    rows = [6, 2, 0, 5, 3]
+    own = {ds.MALE: ds.MALE, ds.FEMALE: ds.FEMALE, ds.UNKNOWN: ridge.POOLED}
+    expected = [ridge.predict(model, features[r], own[genders[r]]) for r in rows]
+    preds = pipeline.predict_rows(model, features, manifest, rows)
+    assert np.abs(preds - expected).max() <= 1e-12
+    pooled = [ridge.predict(model, x, ridge.POOLED) for x in features]
+    assert np.abs(pipeline.predict_rows(model, features) - pooled).max() <= 1e-12
+    assert pipeline.predict_rows(model, features, manifest, []).shape == (0,)
 
 
 @pytest.mark.parametrize(

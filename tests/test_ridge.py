@@ -66,10 +66,16 @@ class TestFitRidge:
             assert np.linalg.norm(resid) <= 1e-8 * (1 + np.linalg.norm(rhs))
 
     def test_singular_without_regularization(self):
-        X = np.ones((10, 3))  # rank 1 after centering -> rank 0
-        y = np.arange(10.0)
-        with pytest.raises(SingularSystemError):
-            ridge.fit_ridge(X, y, 0.0)
+        rng = np.random.default_rng(26)
+        Z = rng.standard_normal((20, 3))
+        designs = [
+            (np.ones((10, 3)), np.arange(10.0)),  # rank 1 -> rank 0 after centering
+            # rank 3 of 4, the design of test_zero_alpha_on_rank_deficient_split
+            (np.column_stack([Z, Z[:, 0] + Z[:, 1]]), rng.standard_normal(20)),
+        ]
+        for X, y in designs:
+            with pytest.raises(SingularSystemError):
+                ridge.fit_ridge(X, y, 0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -185,6 +191,15 @@ class TestPredict:
         x2[[0, 2, 4, 5]] = rng.standard_normal(4) * 100
         assert ridge.predict(m, x2, "male") == pytest.approx(base)
 
+    def test_matrix_equals_row_by_row(self):
+        rng = np.random.default_rng(28)
+        m = make_model([1, 4, 6], rng.standard_normal(3), 30.0, clamp=(25.0, 35.0))
+        X = (rng.standard_normal((9, 8)) * 3).astype(np.float32)
+        preds = ridge.predict(m, X, "male")
+        assert preds.shape == (9,)
+        assert np.abs(preds - [ridge.predict(m, x, "male") for x in X]).max() <= 1e-12
+        assert ridge.predict(m, X[:0], "male").shape == (0,)
+
     def test_recovers_training_label_noiseless(self):
         rng = np.random.default_rng(10)
         X = rng.standard_normal((30, 4))
@@ -281,12 +296,41 @@ def test_model_file_roundtrip(tmp_path):
         ("task=m\nalpha=1.0\nintercept=nan\nclamp=0.0 69.0\n3 1.0\n", NonFiniteError),
         ("task=m\nalpha=1.0\nintercept=2.0\nclamp=-inf 69.0\n3 1.0\n", NonFiniteError),
         ("task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 nan\n3 1.0\n", NonFiniteError),
+        (  # a repeated alpha, intercept and bin in one task
+            "task=m\nalpha=1.0\nalpha=5.0\nintercept=2.0\nintercept=9.0\n"
+            "clamp=0.0 69.0\n3 1.0\n3 2.0\n",
+            MalformedRowError,
+        ),
+        (
+            "task=m\nalpha=1.0\nintercept=2.0\nintercept=9.0\nclamp=0.0 69.0\n3 1.0\n",
+            MalformedRowError,
+        ),
+        (
+            "task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 69.0\nclamp=0.0 69.0\n3 1.0\n",
+            MalformedRowError,
+        ),
+        ("task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 69.0\n3 1.0\n3 2.0\n", MalformedRowError),
+        ("task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 69.0\n4 1.0\n3 2.0\n", MalformedRowError),
     ],
 )
 def test_model_reader_rejects(tmp_path, body, error):
     path = tmp_path / "model.txt"
     path.write_text("GLOHRIDGE 1\n" + body)
     with pytest.raises(error):
+        ridge.read_model(str(path))
+
+
+@pytest.mark.parametrize(
+    "body, where",
+    [
+        ("task=m\nalpha=1.0\nalpha=5.0\n", "model.txt:4: alpha= repeated"),
+        ("task=m\nalpha=1.0\n3 1.0\n3 2.0\n", "model.txt:5: bins not strictly"),
+    ],
+)
+def test_model_reader_names_the_offending_line(tmp_path, body, where):
+    path = tmp_path / "model.txt"
+    path.write_text("GLOHRIDGE 1\n" + body)
+    with pytest.raises(MalformedRowError, match=where):
         ridge.read_model(str(path))
 
 
