@@ -183,7 +183,7 @@ def cmd_synth(args):
         N=args.n,
         support_size=args.support,
         noise_sigma=args.sigma,
-        seed=args.seed if args.seed is not None else 0,
+        seed=args.seed,
     )
     manifest = pipeline.synth_dataset(spec, args.out_dir)
     print(f"wrote {len(manifest.samples)} samples to {args.out_dir}")

@@ -125,17 +125,26 @@ def check_row_count(manifest, features):
         )
 
 
+def task_rows(rows, manifest):
+    """{MALE: rows, FEMALE: rows}: the given manifest rows of each task,
+    ascending. Unknown-gender rows are in both tasks."""
+    rows = sorted(rows)
+    return {
+        label: [r for r in rows if manifest.samples[r].gender in (label, UNKNOWN)]
+        for label in (MALE, FEMALE)
+    }
+
+
 def partition_by_task(rows, manifest, features):
     """Build male/female TaskDatasets from the given manifest rows.
 
-    Unknown-gender rows go into both tasks. Row order within each task
-    follows manifest order.
+    Each task holds its ``task_rows``: unknown-gender rows go into both
+    tasks, and row order within each task follows manifest order.
     """
     features = np.asarray(features)
     check_row_count(manifest, features)
     tasks = []
-    for label, genders in ((MALE, (MALE, UNKNOWN)), (FEMALE, (FEMALE, UNKNOWN))):
-        idx = [r for r in sorted(rows) if manifest.samples[r].gender in genders]
+    for label, idx in task_rows(rows, manifest).items():
         if not idx:
             raise EmptyTaskError(f"no training rows for task {label!r}")
         ages = np.array([manifest.samples[r].age for r in idx], dtype=np.float64)

@@ -18,13 +18,12 @@ Almost every row is zero at our budgets, so FISTA runs on a few hundred
 columns, not K. The prox, penalty, KKT score, lambda_max and support all
 take one row norm, ``_row_norms``, so they read the same bits.
 
-FISTA carries the products X_l w_l of its iterates. One iteration makes
-a single product with all of its columns, the gradient X_l^T r_l at the
-extrapolated point; the forward products of each trial step and of the
-accepted iterate read only the nonzero rows of W. Because the loss is
-quadratic, the backtracking test compares sum_l ||X_l d_l||^2 / N_l with
-||d||^2 / (2 step) directly instead of differencing two rounded losses.
-Loss, gradient, objective and solver share one product/residual path.
+FISTA carries the products X_l w_l of its iterates and forms every
+product over all the columns it is given: the working set's, or all K in
+the fallback. Because the loss is quadratic, the backtracking test
+compares sum_l ||X_l d_l||^2 / N_l with ||d||^2 / (2 step) directly
+instead of differencing two rounded losses. Loss, gradient, objective
+and solver share one product/residual path.
 
 ``fit_for_budget`` bisects on lambda until the bin budget is met and
 stops once the bracket is narrower than the solver's relative tolerance.
@@ -153,17 +152,10 @@ def _row_norms(W):
     return np.sqrt(total)
 
 
-def _products(W, data, rows):
-    """X_l w_l for every task, reading only the listed rows of W.
-
-    Products run in X's dtype, so a float32 design matrix is never upcast.
-    When the rows are a quarter of K or more the dense product is used, so
-    no large column copy of X is ever made.
-    """
-    if 4 * len(rows) >= W.shape[0]:
-        return [d.X @ W[:, l].astype(d.X.dtype) for l, d in enumerate(data)]
-    Wr = W[rows]
-    return [d.X[:, rows] @ Wr[:, l].astype(d.X.dtype) for l, d in enumerate(data)]
+def _products(W, data):
+    """X_l w_l for every task; products run in X's dtype, so a float32
+    design matrix is never upcast."""
+    return [d.X @ W[:, l].astype(d.X.dtype) for l, d in enumerate(data)]
 
 
 def _loss(P, data):
@@ -194,7 +186,7 @@ def objective(W, data, lam, mode=MODE_MTL):
         raise NegativeLambdaError(f"lambda = {lam}")
     W = np.asarray(W, dtype=np.float64)
     _check_shapes(W, data)
-    return _loss(_products(W, data, _nonzero_rows(W)), data) + lam * penalty(W, mode)
+    return _loss(_products(W, data), data) + lam * penalty(W, mode)
 
 
 def soft_threshold(x, tau):
@@ -203,17 +195,16 @@ def soft_threshold(x, tau):
 
 
 def _prox(V, tau, mode):
-    """Prox of tau * R at V: (result, nonzero-row mask, R(result))."""
+    """Prox of tau * R at V: (result, R(result))."""
     if mode == MODE_STL:
         out = soft_threshold(V, tau)
-        return out, (out != 0).any(1), float(np.abs(out).sum())
+        return out, float(np.abs(out).sum())
     norms = _row_norms(V)
-    keep = norms > tau
-    rows = keep.nonzero()[0]
+    rows = (norms > tau).nonzero()[0]
     kept = norms[rows]
     out = np.zeros(V.shape)
     out[rows] = V[rows] * (1.0 - tau / kept)[:, None]
-    return out, keep, float(kept.sum()) - tau * len(rows)
+    return out, float(kept.sum()) - tau * len(rows)
 
 
 def lambda_max(data, mode=MODE_MTL):
@@ -259,7 +250,7 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
         sub = [d.columns(ws) for d in data]
         if len(ws):
             W[ws] = _fista(sub, lam, opts, W[ws])
-        _grad(_products(W[ws], sub, range(len(ws))), data, G)
+        _grad(_products(W[ws], sub), data, G)
         score = _row_norms(G) if opts.mode == MODE_MTL else np.abs(G).max(1)
         score[ws] = 0.0
         violators = (score > lam).nonzero()[0]
@@ -284,16 +275,13 @@ def _fista(data, lam, opts, w0):
     is never above the initial point's.
 
     Each iterate carries its products X_l w_l, so the extrapolated
-    point's products cost O(N). An iteration makes one full-width
-    product, the gradient X_l^T r_l; the products of each trial step and
-    of the accepted iterate read only their nonzero rows of W, and the
-    accepted iterate's products are recomputed from W so they never
-    drift. Iterates are float64; products run in X's dtype.
+    point's products cost O(N); the accepted iterate's are recomputed
+    from W so they never drift. Iterates are float64; products run in
+    X's dtype.
     """
     W = np.array(w0, dtype=np.float64)
-    mask = (W != 0).any(1)
-    P = _products(W, data, mask.nonzero()[0])
-    W_prev, P_prev, mask_prev = W, P, mask
+    P = _products(W, data)
+    W_prev, P_prev = W, P
     G = np.empty_like(W)
     theta = 1.0
     step = INIT_STEP
@@ -304,25 +292,21 @@ def _fista(data, lam, opts, w0):
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
         beta = (theta - 1.0) / theta_next
         Z = W + beta * (W - W_prev)
-        mask_Z = mask | mask_prev
         _grad([p + beta * (p - q) for p, q in zip(P, P_prev)], data, G)
 
         while True:
-            W_new, mask_new, pen = _prox(Z - step * G, step * lam, opts.mode)
-            rows = (mask_new | mask_Z).nonzero()[0]
+            W_new, pen = _prox(Z - step * G, step * lam, opts.mode)
             D = W_new - Z
-            Dr = D[rows]
-            rhs = float(np.vdot(Dr, Dr)) / (2.0 * step)
-            curv = sum([float(np.dot(x, x)) / len(x) for x in _products(D, data, rows)])
+            rhs = float(np.vdot(D, D)) / (2.0 * step)
+            curv = sum([float(np.dot(x, x)) / len(x) for x in _products(D, data)])
             if curv <= rhs + 1e-12 * max(1.0, rhs):
                 break
             step *= STEP_SHRINK
             if step < 1e-18:
                 raise NonFiniteError("backtracking step underflow")
 
-        W_prev, P_prev, mask_prev = W, P, mask
-        W, mask = W_new, mask_new
-        P = _products(W, data, mask.nonzero()[0])
+        W_prev, P_prev, W = W, P, W_new
+        P = _products(W, data)
         theta = theta_next
         F_new = _loss(P, data) + lam * pen
         if not math.isfinite(F_new):
@@ -373,9 +357,7 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
         S = rows[support(W[rows])]
         if len(S) <= budget:
             hi = mid
-            if len(S) > len(best.selected) or (
-                len(S) == len(best.selected) and mid < best.lam
-            ):
+            if len(S) >= len(best.selected):  # mid < hi <= best.lam: a tie goes to mid
                 best = SelectionResult(mid, W.copy(), S)
         else:
             lo = mid

@@ -104,7 +104,8 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
     tasks = ds.partition_by_task(rows, manifest, features)
     if selection is None:
         selection = select_bins(manifest, features, config, tasks)
-    task_data = {t.task_id: (t.X, t.y) for t in tasks}
+    ids = ds.task_rows(rows, manifest)  # the pooled fit takes each row once
+    task_data = {t.task_id: (t.X, t.y, ids[t.task_id]) for t in tasks}
     model = ridge.fit_model(
         selection.selected, task_data, config.alpha_grid, seed=config.seed
     )
@@ -151,7 +152,7 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
     return metrics.aggregate(results, config.cs_max)
 
 
-def synth_dataset(spec, out_dir, persons_per_task=None):
+def synth_dataset(spec, out_dir):
     """Write a synthetic benchmark: manifest, GFV1 features and ground truth.
 
     Real-valued responses are mapped affinely onto integer ages in [0, 69]

@@ -117,21 +117,28 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
 def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
     """Fit per-task ridge regressors (plus a pooled fallback) on selected bins.
 
-    ``task_data`` maps task label -> (X_full, y) where X_full has the full
-    feature dimension; columns outside ``selected`` are ignored. The pooled
-    model under the key "pooled" is fit on the union of all tasks' samples
-    and serves rows whose task label is unknown at prediction time. A task
-    with fewer samples than CV_FOLDS takes the middle of the grid.
+    ``task_data`` maps task label -> (X_full, y, ids) where X_full has the
+    full feature dimension (columns outside ``selected`` are ignored) and
+    ``ids`` names each row, say by its manifest index. The pooled model
+    under the key "pooled" is fit on the union of all tasks' samples, each
+    id once where it first appears, and serves rows whose task label is
+    unknown at prediction time. A task with fewer samples than CV_FOLDS
+    takes the middle of the grid.
     """
     selected = np.asarray(selected, dtype=int)
     model = RidgeModel(selected=selected)
-    fits = [
-        (task, np.asarray(X_full)[:, selected].astype(np.float64),
-         np.asarray(y, dtype=np.float64))
-        for task, (X_full, y) in task_data.items()
-    ]
+    fits, pool, seen = [], [], set()
+    for task, (X_full, y, ids) in task_data.items():
+        Xs = np.asarray(X_full)[:, selected].astype(np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        fits.append((task, Xs, y))
+        keep = [i for i, r in enumerate(ids) if r not in seen]
+        seen.update(ids)
+        # a task that shares no row is pooled as is: a row gather would make
+        # Xs C-ordered (it is Fortran-ordered), which moves the fit's last bits
+        pool.append((Xs, y) if len(keep) == len(y) else (Xs[keep], y[keep]))
     fits.append(
-        (POOLED, np.vstack([f[1] for f in fits]), np.concatenate([f[2] for f in fits]))
+        (POOLED, np.vstack([p[0] for p in pool]), np.concatenate([p[1] for p in pool]))
     )
     for task, Xs, y in fits:
         try:

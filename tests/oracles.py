@@ -154,7 +154,7 @@ def smooth_grad(W, data):
     Built from the solver's own product and gradient helpers, looked up on
     the module at call time, so a test can count or replace them.
     """
-    P = mtl._products(W, data, mtl._nonzero_rows(W))
+    P = mtl._products(W, data)
     return mtl._grad(P, data, np.empty_like(W))
 
 

@@ -6,6 +6,7 @@ PASS lines as they complete.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,7 +163,7 @@ def test_criterion_08_end_to_end_noiseless(tmp_path):
         ]
     )
     assert rc == 0
-    summary = open(report_path).readline().split(",")
+    summary = Path(report_path).read_text().splitlines()[0].split(",")
     pooled_mae = float(summary[2])
     assert pooled_mae < 0.5
     report(8, f"noiseless pipeline pooled MAE {pooled_mae:.3f} years")
@@ -206,7 +207,7 @@ def test_criterion_10_paper_protocol_available(tmp_path):
          "--budget", "10"]
     )
     assert rc == 0
-    folds = [ln for ln in open(out) if ln.startswith("fold,")]
+    folds = [ln for ln in Path(out).read_text().splitlines() if ln.startswith("fold,")]
     assert len(folds) == 4  # one per person, exact LOPO
     report(10, "LOPO harness runs on pre-aligned input; FG-NET band informational")
 

@@ -110,10 +110,7 @@ class TestSynth:
         assert cli.main(args + ["--out-dir", a]) == 0
         assert cli.main(args + ["--out-dir", b]) == 0
         for name in ("manifest.csv", "features.gfv", "truth.txt"):
-            assert (
-                open(os.path.join(a, name), "rb").read()
-                == open(os.path.join(b, name), "rb").read()
-            )
+            assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
     def test_full_support(self, tmp_path):
         out = str(tmp_path / "s")
@@ -121,7 +118,8 @@ class TestSynth:
             ["synth", "--out-dir", out, "--k", "6", "--n", "5", "--support", "6"]
         )
         truth = [
-            ln for ln in open(os.path.join(out, "truth.txt")) if ln[0].isdigit()
+            ln for ln in Path(out, "truth.txt").read_text().splitlines()
+            if ln[0].isdigit()
         ]
         assert len(truth) == 6
 
@@ -142,7 +140,8 @@ class TestEvaluate:
              "--budget", "5"]
         )
         assert rc == 0
-        folds = [ln for ln in open(out) if ln.startswith("fold,")]
+        lines = Path(out).read_text().splitlines()
+        folds = [ln for ln in lines if ln.startswith("fold,")]
         assert len(folds) == 2
 
     def test_mtl_and_stl_same_schema(self, tmp_path):
@@ -155,7 +154,8 @@ class TestEvaluate:
                  "--mode", mode, "--budget", "5"]
             )
             assert rc == 0
-            reports[mode] = [ln.split(",")[0] for ln in open(out)]
+            lines = Path(out).read_text().splitlines()
+            reports[mode] = [ln.split(",")[0] for ln in lines]
         assert reports["mtl"] == reports["stl"]
 
     def test_age_range_filter(self, tmp_path):
@@ -168,7 +168,7 @@ class TestEvaluate:
         assert rc == 0
         manifest = ds.parse_manifest(man)
         n_kept = sum(1 for s in manifest.samples if 0 <= s.age <= 30)
-        summary = open(out).readline().split(",")
+        summary = Path(out).read_text().splitlines()[0].split(",")
         assert int(summary[1]) == n_kept
 
     def test_row_count_mismatch(self, tmp_path, capsys):
@@ -186,7 +186,7 @@ class TestEvaluate:
             ["evaluate", "--manifest", man, "--features", feat, "--out", out,
              "--budget", "5", "--cs-max", "3"]
         )
-        cs = [ln for ln in open(out) if ln.startswith("cs,")]
+        cs = [ln for ln in Path(out).read_text().splitlines() if ln.startswith("cs,")]
         assert len(cs) == 4
 
     def test_standardize_flag_runs(self, tmp_path):
@@ -208,7 +208,7 @@ class TestSelectTrainPredict:
              "--budget", "5"]
         )
         assert rc == 0
-        lines = open(out).read().splitlines()
+        lines = Path(out).read_text().splitlines()
         assert lines[0] == "GLOHSEL 1"
         assert lines[1].startswith("lambda=")
         assert lines[2].startswith("epsilon=")
@@ -224,7 +224,7 @@ class TestSelectTrainPredict:
              "--budget", "5"]
         )
         assert rc == 0
-        assert open(model_path).readline().strip() == "GLOHRIDGE 1"
+        assert Path(model_path).read_text().splitlines()[0] == "GLOHRIDGE 1"
 
         pred_path = str(tmp_path / "pred.csv")
         rc = cli.main(
@@ -232,7 +232,7 @@ class TestSelectTrainPredict:
              "--manifest", man, "--out", pred_path]
         )
         assert rc == 0
-        lines = open(pred_path).read().splitlines()
+        lines = Path(pred_path).read_text().splitlines()
         assert lines[0] == "row,pred_age"
         n_rows = featfile.read_features(feat).shape[0]
         assert len(lines) == n_rows + 1
@@ -254,7 +254,7 @@ class TestSelectTrainPredict:
             ["predict", "--model", model_path, "--features", feat, "--out", pred_path]
         )
         assert rc == 0
-        assert len(open(pred_path).read().splitlines()) == 13
+        assert len(Path(pred_path).read_text().splitlines()) == 13
 
     def test_train_reusing_selection(self, tmp_path):
         man, feat = make_feature_corpus(tmp_path)
@@ -372,7 +372,7 @@ class TestErrorContract:
     @pytest.mark.parametrize("n_rows", [4, 13])  # the features have 12 rows
     def test_predict_manifest_row_count(self, tmp_path, capsys, n_rows):
         man, feat = make_feature_corpus(tmp_path)
-        lines = open(man).read().splitlines()[: n_rows + 1]
+        lines = Path(man).read_text().splitlines()[: n_rows + 1]
         lines += [f"synthetic:{i},extra,30,m" for i in range(12, n_rows)]
         rows_csv = tmp_path / "rows.csv"
         rows_csv.write_text("\n".join(lines) + "\n")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -30,8 +32,7 @@ def test_empty_body(tmp_path):
 
 def test_truncated_body(tmp_path):
     path = write_rows(tmp_path, np.ones((3, 4)))
-    data = open(path, "rb").read()
-    open(path, "wb").write(data[:-1])
+    Path(path).write_bytes(Path(path).read_bytes()[:-1])
     with pytest.raises(TruncatedPixelDataError):
         featfile.read_features(path)
 

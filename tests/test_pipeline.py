@@ -94,3 +94,26 @@ def test_predict_rows_gives_each_row_its_task():
 def test_settings_reject_bad_values(settings, key, value):
     with pytest.raises(ValueError):
         settings(**{key: value})
+
+
+def test_pooled_ridge_sees_each_training_row_once(monkeypatch):
+    # unknown-gender rows train both gender tasks; the pooled fit takes them
+    # once, with the male task's rows first and then the female-only rows
+    rng = np.random.default_rng(31)
+    genders = [ds.MALE, ds.UNKNOWN, ds.FEMALE] * 10
+    ages = rng.integers(5, 70, len(genders))
+    manifest = ds.Manifest(
+        [ds.Sample(f"synthetic:{i}", f"p{i}", int(a), g)
+         for i, (g, a) in enumerate(zip(genders, ages))]
+    )
+    features = rng.standard_normal((len(genders), 6)).astype(np.float32)
+    selection = mtl.SelectionResult(1.0, np.zeros((6, 2)), np.array([1, 4]))
+    alphas = recording(monkeypatch, ridge, "select_alpha")
+    pipeline.train_model(manifest, features, selection=selection)
+
+    order = [r for r, g in enumerate(genders) if g != ds.FEMALE]
+    order += [r for r, g in enumerate(genders) if g == ds.FEMALE]
+    X, y = alphas[-1][:2]  # male, female, then the pooled fit
+    assert len(order) == len(X) == 30
+    assert np.array_equal(X, features[order][:, [1, 4]])
+    assert np.array_equal(y, ages[order])

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -218,8 +220,8 @@ class TestFitModel:
         w = np.zeros(10)
         w[[2, 5]] = [1.5, -2.0]
         data = {
-            "male": (X1, X1 @ w + 30),
-            "female": (X2, X2 @ (0.8 * w) + 28),
+            "male": (X1, X1 @ w + 30, range(25)),
+            "female": (X2, X2 @ (0.8 * w) + 28, range(25, 55)),
         }
         model = ridge.fit_model(np.array([2, 5]), data)
         assert set(model.weights) == {"male", "female", ridge.POOLED}
@@ -230,7 +232,8 @@ class TestFitModel:
         rng = np.random.default_rng(27)
         X = rng.standard_normal((3, 4))
         model = ridge.fit_model(
-            np.array([0, 2]), {"male": (X, X[:, 0] + 30)}, alpha_grid=[0.1, 1.0, 10.0]
+            np.array([0, 2]), {"male": (X, X[:, 0] + 30, range(3))},
+            alpha_grid=[0.1, 1.0, 10.0],
         )
         assert model.alphas == {"male": 1.0, ridge.POOLED: 1.0}
 
@@ -238,7 +241,7 @@ class TestFitModel:
         rng = np.random.default_rng(12)
         X = rng.standard_normal((20, 6))
         y = rng.standard_normal(20) + 40
-        model = ridge.fit_model(np.array([], dtype=int), {"male": (X, y)})
+        model = ridge.fit_model(np.array([], dtype=int), {"male": (X, y, range(20))})
         assert ridge.predict(model, X[0], "male") == pytest.approx(y.mean(), abs=1e-9)
 
 
@@ -259,7 +262,7 @@ def test_model_file_roundtrip(tmp_path):
         assert np.allclose(back.weights[task], m.weights[task])
         assert back.intercepts[task] == m.intercepts[task]
         assert back.alphas[task] == m.alphas[task]
-    assert open(path).readline().strip() == "GLOHRIDGE 1"
+    assert Path(path).read_text().splitlines()[0] == "GLOHRIDGE 1"
 
 
 @pytest.mark.parametrize(
