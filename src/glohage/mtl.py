@@ -9,26 +9,26 @@ R(W) = sum of |W| entries in single-task ("stl") mode. Bins whose
 coefficient row survives thresholding are the selected features.
 
 ``solve`` works on a growing set of rows. Each outer pass gathers the
-set's columns of X once, for FISTA (accelerated proximal gradient) with
-backtracking and for the residuals, then takes one task-major full-width
-gradient (each X_l^T r_l a contiguous column) and adds the rows outside
-the set that break their zero-row optimality condition; when none does,
-the result is optimal for the full problem to the subproblem's tolerance.
-Almost every row is zero at our budgets, so FISTA runs on a few hundred
-columns, not K. The prox, penalty, KKT score, lambda_max and support all
-take one row norm, ``_row_norms``, so they read the same bits.
+set's columns of X once, as float64, for FISTA (accelerated proximal
+gradient) with backtracking and for the residuals, then takes one
+task-major full-width gradient in X's dtype (each X_l^T r_l a contiguous
+column) and adds the rows outside the set that break their zero-row
+optimality condition; when none does, the result is optimal for the full
+problem to the subproblem's tolerance. Almost every row is zero at our
+budgets, so FISTA runs on a few hundred columns, not K. The prox,
+penalty, KKT score, lambda_max and support all take one row norm,
+``_row_norms``, so they read the same bits.
 
 FISTA carries the products X_l w_l of its iterates and forms every
-product over all the columns it is given: the working set's, or all K in
-the fallback. Because the loss is quadratic, the backtracking test
-compares sum_l ||X_l d_l||^2 / N_l with ||d||^2 / (2 step) directly
-instead of differencing two rounded losses. Loss, gradient, objective
-and solver share one product/residual path.
+product over all the working set's columns. Because the loss is
+quadratic, the backtracking test compares sum_l ||X_l d_l||^2 / N_l with
+||d||^2 / (2 step) directly instead of differencing two rounded losses.
+Loss, gradient, objective and solver share one product/residual path.
 
 ``fit_for_budget`` bisects on lambda until the bin budget is met and
 stops once the bracket is narrower than the solver's relative tolerance.
-Each solve starts from the last solution and carries its working set:
-the nonzero rows that the bisection finds for the support anyway.
+Each solve starts from the last solution, whose nonzero rows seed its
+working set.
 """
 
 import math
@@ -74,9 +74,11 @@ class TaskDataset:
             raise NonFiniteError(f"task {self.task_id}: non-finite entries")
 
     def columns(self, cols):
-        """This task on the listed columns of X, without re-checking them."""
+        """This task on a float64 copy of the listed columns of X, without
+        re-checking them."""
         sub = object.__new__(TaskDataset)  # skips __post_init__'s scan
-        sub.task_id, sub.X, sub.y = self.task_id, self.X[:, cols], self.y
+        sub.task_id, sub.y = self.task_id, self.y
+        sub.X = self.X[:, cols].astype(np.float64, copy=False)
         return sub
 
     def with_labels(self, y):
@@ -84,8 +86,8 @@ class TaskDataset:
         y = np.asarray(y, dtype=np.float64)
         if not np.isfinite(y).all():
             raise NonFiniteError(f"task {self.task_id}: non-finite labels")
-        sub = self.columns(slice(None))  # X[:, :] is a view
-        sub.y = y
+        sub = object.__new__(TaskDataset)  # shares X, skips __post_init__'s scan
+        sub.task_id, sub.X, sub.y = self.task_id, self.X, y
         return sub
 
     @property
@@ -110,10 +112,6 @@ class SolverOptions:
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
         if self.mode not in (MODE_MTL, MODE_STL):
             raise ValueError(f"unknown mode {self.mode!r}")
-
-
-class _Warm(tuple):
-    """(W, nonzero rows of W): a w0 that solve takes over without a copy or scan."""
 
 
 @dataclass
@@ -228,26 +226,24 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     ``ws`` is scored by its KKT condition for staying zero: ||G[k]|| in mtl
     mode, max_l |G[k, l]| in stl mode. With no score above ``lam``, W is
     returned. Otherwise the max(20, |ws|) highest-scoring violators join
-    ``ws``, which only grows, so there are about log2(K) passes. Once
-    ``ws`` holds a quarter of the rows, FISTA runs on the full data from W.
+    ``ws``, which only grows, so there are about log2(K) passes.
 
-    The result never has a higher objective than ``w0``; starting from
-    zero, any lam >= lambda_max returns the exact zero matrix without a
-    FISTA iteration. Iterates are float64; products run in X's dtype.
+    FISTA and its residuals run on a float64 copy of the columns ``ws``;
+    the full-width gradient runs in X's dtype. ``w0`` is copied, never
+    written to. In the solver's own float64 loss the result never has a
+    higher objective than ``w0``; starting from zero, any lam >=
+    lambda_max returns the exact zero matrix without a FISTA iteration.
     """
     if lam < 0:
         raise NegativeLambdaError(f"lambda = {lam}")
     k, n_tasks = data[0].k, len(data)
-    if isinstance(w0, _Warm):  # a previous solve's result on the same data
-        W, ws = w0
-    else:
-        W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
-        _check_shapes(W, data)
-        ws = _nonzero_rows(W)
+    W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
+    _check_shapes(W, data)
+    ws = _nonzero_rows(W)
 
     G = np.empty((k, n_tasks), order="F")  # task-major: each X_l^T r_l is one column
-    while 4 * len(ws) < k:
-        sub = [d.columns(ws) for d in data]
+    while True:
+        sub = [d.columns(ws) for d in data]  # float64
         if len(ws):
             W[ws] = _fista(sub, lam, opts, W[ws])
         _grad(_products(W[ws], sub), data, G)
@@ -259,7 +255,6 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
         order = np.argsort(-score[violators], kind="stable")
         grow = violators[order[: max(20, len(ws))]]
         ws = np.union1d(ws, grow)
-    return _fista(data, lam, opts, W)
 
 
 def _fista(data, lam, opts, w0):
@@ -346,19 +341,17 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
         return best
 
     lo, hi = 0.0, lam_hi
-    warm = None
+    W = None
     for _ in range(MAX_BISECT):
         if hi - lo <= opts.rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        W = solve(data, mid, opts, w0=warm)
-        rows = _nonzero_rows(W)
-        warm = _Warm((W, rows))
-        S = rows[support(W[rows])]
+        W = solve(data, mid, opts, w0=W)  # a new array; the old W is not touched
+        S = support(W)
         if len(S) <= budget:
             hi = mid
             if len(S) >= len(best.selected):  # mid < hi <= best.lam: a tie goes to mid
-                best = SelectionResult(mid, W.copy(), S)
+                best = SelectionResult(mid, W, S)
         else:
             lo = mid
     return best

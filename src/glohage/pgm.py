@@ -78,6 +78,8 @@ def load_pgm(path):
                 f"need {n_pixels} bytes, found {len(body)}"
             )
         pixels = np.frombuffer(body, dtype=np.uint8, count=n_pixels)
+        if maxval < 255 and pixels.max() > maxval:
+            raise TruncatedPixelDataError("pixel sample outside [0, maxval]")
     else:
         values = data[offset:].split()
         if len(values) < n_pixels:

@@ -64,9 +64,10 @@ def fit_ridge(X, y, alpha):
     """Centered ridge regression; returns (weights, intercept).
 
     With alpha = 0 the design must have full column rank after centering,
-    otherwise SingularSystemError is raised.
+    otherwise SingularSystemError is raised. X is taken in C order, so the
+    result's bits do not depend on its memory layout.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ShapeMismatchError(f"X {X.shape} vs y {y.shape}")
@@ -83,14 +84,15 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
     choice is deterministic for a given seed. A one-value grid is returned
     without cross-validation. Each training split takes one _ridge_path
     call for the whole grid, so a grid value that is numerically singular
-    on a split raises SingularSystemError, as fit_ridge would.
+    on a split raises SingularSystemError, as fit_ridge would. X is taken
+    in C order, as in fit_ridge.
     """
     grid = list(grid)
     if not grid:
         raise GridEmptyError("empty alpha grid")
     if min(grid) < 0:
         raise ValueError(f"alpha must be nonnegative, got {min(grid)}")
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = len(y)
     if n < CV_FOLDS:
@@ -134,9 +136,7 @@ def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
         fits.append((task, Xs, y))
         keep = [i for i, r in enumerate(ids) if r not in seen]
         seen.update(ids)
-        # a task that shares no row is pooled as is: a row gather would make
-        # Xs C-ordered (it is Fortran-ordered), which moves the fit's last bits
-        pool.append((Xs, y) if len(keep) == len(y) else (Xs[keep], y[keep]))
+        pool.append((Xs[keep], y[keep]))
     fits.append(
         (POOLED, np.vstack([p[0] for p in pool]), np.concatenate([p[1] for p in pool]))
     )

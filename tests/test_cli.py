@@ -424,8 +424,10 @@ def test_readme_lists_every_config_key():
 # the same commands run in the CI workflow's numpy-only step
 NUMPY_ONLY_RUN = [
     "synth --out-dir {d} --k 40 --n 20 --support 4",
+    "select --manifest {d}/manifest.csv --features {d}/features.gfv"
+    " --out {d}/sel.txt --budget 4",
     "train --manifest {d}/manifest.csv --features {d}/features.gfv"
-    " --out {d}/model.txt --budget 4",
+    " --out {d}/model.txt --selection {d}/sel.txt",
     "predict --model {d}/model.txt --features {d}/features.gfv"
     " --manifest {d}/manifest.csv --out {d}/preds.csv",
     "evaluate --manifest {d}/manifest.csv --features {d}/features.gfv"

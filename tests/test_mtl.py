@@ -294,7 +294,8 @@ class TestSolve:
 
 
 class TestWorkingSet:
-    """solve grows a working set of rows; _fista is the full-width solver."""
+    """solve grows a working set of rows and runs _fista on its columns only;
+    called directly on the full data, _fista is the full-width reference."""
 
     @staticmethod
     def spy_fista(monkeypatch):
@@ -316,8 +317,10 @@ class TestWorkingSet:
         return np.max(np.abs(G), axis=1)
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
-    @pytest.mark.parametrize("frac, fallback", [(0.6, False), (0.3, False), (0.02, True)])
-    def test_matches_full_width_fista(self, monkeypatch, mode, frac, fallback):
+    @pytest.mark.parametrize(
+        "frac, past_quarter", [(0.6, False), (0.3, False), (0.02, True)]
+    )
+    def test_matches_full_width_fista(self, monkeypatch, mode, frac, past_quarter):
         opts = SolverOptions(rel_tol=1e-9, max_iters=5000, mode=mode)
         for seed in range(3):
             data = random_instance(30 + seed, K=300, N=40)
@@ -329,9 +332,10 @@ class TestWorkingSet:
             W = mtl.solve(data, lam, opts)
             monkeypatch.undo()
             assert mtl.objective(W, data, lam, mode) <= f_full * (1 + 1e-4)
-            # the last pass runs on all K columns only after the K/4 fallback
-            assert (widths[-1] == 300) == fallback
-            assert all(w < 300 for w in widths[:-1])
+            # at 0.02 the working set outgrows a quarter of K and FISTA
+            # still never runs on all K columns
+            assert all(w < 300 for w in widths)
+            assert (4 * max(widths) >= 300) == past_quarter
             zero = ~np.any(W != 0, axis=1)
             assert np.all(self.kkt_scores(W, data, mode)[zero] <= lam * (1 + 1e-3))
 
@@ -351,8 +355,30 @@ class TestWorkingSet:
         lam = 0.3 * mtl.lambda_max(data)
         W = mtl.solve(data, lam)
         mtl.solve(data, 0.6 * lam, w0=W)
-        assert fista_widths and max(fista_widths) < 300  # no K/4 fallback
+        assert fista_widths and max(fista_widths) < 300  # no full-width FISTA
         assert widths and max(widths) < 300
+
+    def test_fista_gets_float64_working_set_columns(self, monkeypatch):
+        # on a float32 design, solve hands _fista float64 copies of the
+        # working set's columns (and a float64 start), never all K columns
+        seen = []
+        fista = mtl._fista
+
+        def spy(data, lam, opts, w0):
+            seen.append((w0, *[d.X for d in data]))
+            return fista(data, lam, opts, w0)
+
+        monkeypatch.setattr(mtl, "_fista", spy)
+        data = [
+            TaskDataset(d.task_id, d.X.astype(np.float32), d.y)
+            for d in random_instance(34, K=300, N=40)
+        ]
+        for frac in (0.6, 0.3, 0.02):
+            mtl.solve(data, frac * mtl.lambda_max(data))
+        assert seen
+        for w0, *xs in seen:
+            assert w0.dtype == np.float64 and w0.shape[0] < 300
+            assert all(x.dtype == np.float64 and x.shape[1] == w0.shape[0] for x in xs)
 
     def test_warm_start_never_worse(self):
         data = random_instance(33, K=300, N=40)

@@ -60,6 +60,20 @@ def test_maxval_over_255(tmp_path):
         pgm.load_pgm(path)
 
 
+@pytest.mark.parametrize(
+    "magic, body", [(b"P5", bytes([200, 7])), (b"P2", b"200 7")], ids=["P5", "P2"]
+)
+def test_sample_above_maxval(tmp_path, magic, body):
+    path = write(tmp_path, "a.pgm", magic + b"\n2 1\n100\n" + body)
+    with pytest.raises(TruncatedPixelDataError, match="outside"):
+        pgm.load_pgm(path)
+
+
+def test_p5_sample_at_maxval(tmp_path):
+    path = write(tmp_path, "a.pgm", b"P5\n2 1\n100\n" + bytes([100, 7]))
+    assert pgm.load_pgm(path).tolist() == [[100, 7]]
+
+
 def test_header_comments_skipped(tmp_path):
     path = write(tmp_path, "a.pgm", b"P2\n# a comment\n2 1\n# more\n255\n7 9")
     img = pgm.load_pgm(path)

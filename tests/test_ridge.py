@@ -92,6 +92,17 @@ class TestFitRidge:
         for n1, n2 in zip(norms, norms[1:]):
             assert n1 >= n2 - 1e-10
 
+    def test_bits_do_not_depend_on_memory_layout(self):
+        # C- and Fortran-ordered copies of one design give the same bits
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            X = rng.standard_normal((1002, 50))
+            y = rng.standard_normal(1002)
+            wc, bc = ridge.fit_ridge(np.ascontiguousarray(X), y, 1.0)
+            wf, bf = ridge.fit_ridge(np.asfortranarray(X), y, 1.0)
+            assert wc.tobytes() == wf.tobytes()
+            assert bc == bf
+
     def test_centering_shift_property(self):
         rng = np.random.default_rng(5)
         X = rng.standard_normal((15, 4))
