@@ -127,12 +127,14 @@ def check_row_count(manifest, features):
 
 def task_rows(rows, manifest):
     """{MALE: rows, FEMALE: rows}: the given manifest rows of each task,
-    ascending. Unknown-gender rows are in both tasks."""
-    rows = sorted(rows)
-    return {
-        label: [r for r in rows if manifest.samples[r].gender in (label, UNKNOWN)]
-        for label in (MALE, FEMALE)
-    }
+    ascending. Unknown-gender rows are in both tasks; a task left without
+    rows raises EmptyTaskError."""
+    rows, tasks = sorted(rows), {}
+    for label in (MALE, FEMALE):
+        tasks[label] = [r for r in rows if manifest.samples[r].gender in (label, UNKNOWN)]
+        if not tasks[label]:
+            raise EmptyTaskError(f"no training rows for task {label!r}")
+    return tasks
 
 
 def partition_by_task(rows, manifest, features):
@@ -145,8 +147,6 @@ def partition_by_task(rows, manifest, features):
     check_row_count(manifest, features)
     tasks = []
     for label, idx in task_rows(rows, manifest).items():
-        if not idx:
-            raise EmptyTaskError(f"no training rows for task {label!r}")
         ages = np.array([manifest.samples[r].age for r in idx], dtype=np.float64)
         tasks.append(TaskDataset(label, features[idx], ages))
     return tasks
@@ -168,8 +168,8 @@ class SynthSpec:
             raise InvalidSpecError("all counts must be >= 1")
         if self.support_size > self.K:
             raise InvalidSpecError("support_size exceeds feature dimension")
-        if self.noise_sigma < 0:
-            raise InvalidSpecError("noise_sigma must be >= 0")
+        if not (np.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidSpecError("noise_sigma must be finite and >= 0")
 
 
 def synth_generate(spec):

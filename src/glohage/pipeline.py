@@ -87,27 +87,26 @@ def _centered_labels(tasks):
     return [t.with_labels(t.y - t.y.mean()) for t in tasks]
 
 
-def select_bins(manifest, features, config=RunConfig(), tasks=None):
-    """Fit the sparse selection on ``tasks`` (default: all rows' tasks)."""
-    if tasks is None:
-        tasks = ds.partition_by_task(range(len(manifest.samples)), manifest, features)
+def select_bins(manifest, features, config=RunConfig(), rows=None):
+    """Fit the sparse selection on the tasks of ``rows`` (default: all rows)."""
+    if rows is None:
+        rows = range(len(manifest.samples))
+    tasks = ds.partition_by_task(rows, manifest, features)
     return mtl.fit_for_budget(_centered_labels(tasks), config.budget, config.solver)
 
 
 def train_model(manifest, features, config=RunConfig(), selection=None, rows=None):
-    """Selection (unless given) followed by per-task ridge regressors.
-
-    The rows are split into tasks once, for both fits.
-    """
+    """Selection on ``rows`` (unless given) followed by per-task ridge
+    regressors, each fit on its task's rows of the selected bins."""
+    ds.check_row_count(manifest, features)
     if rows is None:
         rows = range(len(manifest.samples))
-    tasks = ds.partition_by_task(rows, manifest, features)
     if selection is None:
-        selection = select_bins(manifest, features, config, tasks)
-    ids = ds.task_rows(rows, manifest)  # the pooled fit takes each row once
-    task_data = {t.task_id: (t.X, t.y, ids[t.task_id]) for t in tasks}
+        selection = select_bins(manifest, features, config, rows)
+    ages = [s.age for s in manifest.samples]
     model = ridge.fit_model(
-        selection.selected, task_data, config.alpha_grid, seed=config.seed
+        features, ages, ds.task_rows(rows, manifest), selection.selected,
+        config.alpha_grid, seed=config.seed,
     )
     return selection, model
 

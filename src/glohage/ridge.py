@@ -116,31 +116,26 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
     return grid[max(range(len(grid)), key=lambda j: (-mae[j], grid[j]))]
 
 
-def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
+def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
     """Fit per-task ridge regressors (plus a pooled fallback) on selected bins.
 
-    ``task_data`` maps task label -> (X_full, y, ids) where X_full has the
-    full feature dimension (columns outside ``selected`` are ignored) and
-    ``ids`` names each row, say by its manifest index. The pooled model
-    under the key "pooled" is fit on the union of all tasks' samples, each
-    id once where it first appears, and serves rows whose task label is
-    unknown at prediction time. A task with fewer samples than CV_FOLDS
-    takes the middle of the grid.
+    ``features`` and ``ages`` hold one entry per manifest row, and ``rows``
+    maps task label -> manifest rows, as ``dataset.task_rows`` gives them.
+    Each fit gathers its (rows, selected) block once; a non-finite value in
+    it raises NonFiniteError. The pooled model under the key "pooled" is fit
+    on every task's rows, each once where it first appears, and serves rows
+    whose task label is unknown at prediction time. A task with fewer
+    samples than CV_FOLDS takes the middle of the grid.
     """
     selected = np.asarray(selected, dtype=int)
+    ages = np.asarray(ages, dtype=np.float64)
     model = RidgeModel(selected=selected)
-    fits, pool, seen = [], [], set()
-    for task, (X_full, y, ids) in task_data.items():
-        Xs = np.asarray(X_full)[:, selected].astype(np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        fits.append((task, Xs, y))
-        keep = [i for i, r in enumerate(ids) if r not in seen]
-        seen.update(ids)
-        pool.append((Xs[keep], y[keep]))
-    fits.append(
-        (POOLED, np.vstack([p[0] for p in pool]), np.concatenate([p[1] for p in pool]))
-    )
-    for task, Xs, y in fits:
+    pooled = list(dict.fromkeys(r for idx in rows.values() for r in idx))
+    for task, idx in {**rows, POOLED: pooled}.items():
+        Xs = features[np.ix_(idx, selected)].astype(np.float64)
+        if not np.all(np.isfinite(Xs)):
+            raise NonFiniteError(f"task {task!r}: non-finite value in a selected bin")
+        y = ages[idx]
         try:
             alpha = select_alpha(Xs, y, alpha_grid, seed)
         except TooFewSamplesError:
@@ -150,8 +145,7 @@ def fit_model(selected, task_data, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
         model.weights[task] = w
         model.intercepts[task] = b
         model.alphas[task] = alpha
-    y_pool = fits[-1][2]
-    model.clamp = (float(y_pool.min()), float(y_pool.max()))
+    model.clamp = (float(ages[pooled].min()), float(ages[pooled].max()))
     return model
 
 
@@ -166,7 +160,10 @@ def predict(model, x, task=POOLED):
             f"feature length {x.shape[-1]} < required {int(model.selected.max()) + 1}"
         )
     # gather the selected bins before the cast: no full-width float64 copy
-    raw = x[..., model.selected].astype(np.float64) @ model.weights[task]
+    block = x[..., model.selected].astype(np.float64)
+    if not np.all(np.isfinite(block)):
+        raise NonFiniteError("non-finite value in a selected bin")
+    raw = block @ model.weights[task]
     pred = np.clip(raw + model.intercepts[task], *model.clamp)
     return float(pred) if x.ndim == 1 else pred
 

@@ -67,7 +67,16 @@ def test_criterion_02_prox_oracle():
             f, v, method="Powell",
             options={"xtol": 1e-12, "ftol": 1e-14, "maxiter": 10000},
         )
-        worst = max(worst, float(np.abs(res.x - p).max()))
+        # the package's prox meets the same minimum and returns its penalty
+        out, pen = mtl._prox(v[None, :], tau, mtl.MODE_MTL)
+        assert pen == pytest.approx(mtl.penalty(out, mtl.MODE_MTL), rel=1e-12, abs=1e-12)
+        found = [p, out[0]]
+        out, pen = mtl._prox(v[None, :], tau, mtl.MODE_STL)
+        assert np.array_equal(out[0], mtl.soft_threshold(v, tau))
+        assert pen == pytest.approx(mtl.penalty(out, mtl.MODE_STL), rel=1e-12, abs=1e-12)
+        if L == 1:  # with one task the l1 and l2,1 penalties agree
+            found.append(out[0])
+        worst = max(worst, *(float(np.abs(res.x - u).max()) for u in found))
     assert worst < 1e-6
     report(2, f"1000 pairs, max deviation {worst:.2e}")
 

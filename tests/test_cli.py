@@ -387,6 +387,47 @@ class TestErrorContract:
             capsys, "RowCountMismatch",
         )
 
+    def test_train_selection_row_count(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)
+        featfile.write_features(feat, featfile.read_features(feat)[:-1])
+        sel = tmp_path / "sel.txt"
+        sel.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n")
+        self.run_failing(
+            ["train", "--manifest", man, "--features", feat,
+             "--out", str(tmp_path / "model.txt"), "--selection", str(sel)],
+            capsys, "RowCountMismatch",
+        )
+
+    def test_train_selection_non_finite_selected_bin(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)
+        feats = featfile.read_features(feat)
+        feats[0, 3] = np.nan
+        featfile.write_features(feat, feats)
+        sel = tmp_path / "sel.txt"
+        sel.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n")
+        self.run_failing(
+            ["train", "--manifest", man, "--features", feat,
+             "--out", str(tmp_path / "model.txt"), "--selection", str(sel)],
+            capsys, "NonFiniteEncountered",
+        )
+
+    def test_predict_non_finite_selected_bin(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)
+        feats = featfile.read_features(feat)
+        feats[0, 3] = np.nan
+        featfile.write_features(feat, feats)
+        model = tmp_path / "model.txt"
+        model.write_text(
+            "GLOHRIDGE 1\ntask=pooled\nalpha=1.0\nintercept=30.0\n"
+            "clamp=0.0 69.0\n3 1.0\n"
+        )
+        self.run_failing(
+            ["predict", "--model", str(model), "--features", feat,
+             "--out", str(tmp_path / "pred.csv")],
+            capsys, "NonFiniteEncountered",
+        )
+        assert not (tmp_path / "pred.csv").exists()
+
     def test_manifest_not_utf8(self, tmp_path, capsys):
         man = tmp_path / "manifest.csv"
         man.write_bytes(b"path,person_id,age,gender\nface\xff.pgm,p0,20,m\n")

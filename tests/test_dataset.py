@@ -175,7 +175,8 @@ class TestSynthGenerate:
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpecError):
             ds.SynthSpec(K=5, support_size=6)
-        with pytest.raises(InvalidSpecError):
-            ds.SynthSpec(noise_sigma=-0.1)
+        for sigma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(InvalidSpecError):
+                ds.SynthSpec(noise_sigma=sigma)
         with pytest.raises(InvalidSpecError):
             ds.SynthSpec(N=0)

@@ -55,6 +55,16 @@ def test_no_held_out_row_reaches_a_fold_fit(
         assert sum(t.X.shape[0] for t in tasks) == len(fold.train_rows)
 
 
+def test_given_selection_skips_the_task_partition(tmp_path, monkeypatch):
+    manifest, features = synth_corpus(tmp_path)
+    selection = pipeline.select_bins(manifest, features, pipeline.RunConfig(budget=8))
+    parts = recording(monkeypatch, ds, "partition_by_task")
+    again, model = pipeline.train_model(manifest, features, selection=selection)
+    assert again is selection
+    assert set(model.weights) == {ds.MALE, ds.FEMALE, ridge.POOLED}
+    assert parts == []
+
+
 def test_predict_rows_gives_each_row_its_task():
     rng = np.random.default_rng(29)
     genders = [ds.MALE, ds.FEMALE, ds.UNKNOWN, ds.FEMALE, ds.MALE, ds.UNKNOWN, ds.FEMALE]

@@ -230,11 +230,10 @@ class TestFitModel:
         X2 = rng.standard_normal((30, 10))
         w = np.zeros(10)
         w[[2, 5]] = [1.5, -2.0]
-        data = {
-            "male": (X1, X1 @ w + 30, range(25)),
-            "female": (X2, X2 @ (0.8 * w) + 28, range(25, 55)),
-        }
-        model = ridge.fit_model(np.array([2, 5]), data)
+        features = np.vstack([X1, X2])
+        ages = np.concatenate([X1 @ w + 30, X2 @ (0.8 * w) + 28])
+        rows = {"male": list(range(25)), "female": list(range(25, 55))}
+        model = ridge.fit_model(features, ages, rows, np.array([2, 5]))
         assert set(model.weights) == {"male", "female", ridge.POOLED}
         pred = ridge.predict(model, X1[0], "male")
         assert pred == pytest.approx(float(X1[0] @ w + 30), abs=0.5)
@@ -243,7 +242,7 @@ class TestFitModel:
         rng = np.random.default_rng(27)
         X = rng.standard_normal((3, 4))
         model = ridge.fit_model(
-            np.array([0, 2]), {"male": (X, X[:, 0] + 30, range(3))},
+            X, X[:, 0] + 30, {"male": [0, 1, 2]}, np.array([0, 2]),
             alpha_grid=[0.1, 1.0, 10.0],
         )
         assert model.alphas == {"male": 1.0, ridge.POOLED: 1.0}
@@ -252,8 +251,30 @@ class TestFitModel:
         rng = np.random.default_rng(12)
         X = rng.standard_normal((20, 6))
         y = rng.standard_normal(20) + 40
-        model = ridge.fit_model(np.array([], dtype=int), {"male": (X, y, range(20))})
+        model = ridge.fit_model(X, y, {"male": list(range(20))}, np.array([], dtype=int))
         assert ridge.predict(model, X[0], "male") == pytest.approx(y.mean(), abs=1e-9)
+
+
+def test_non_finite_selected_bin_is_rejected():
+    # a fit or a prediction reads only the selected bins, and rejects a
+    # non-finite value among them; other bins are never read
+    rng = np.random.default_rng(14)
+    X = rng.standard_normal((20, 6)).astype(np.float32)
+    y = rng.integers(10, 60, 20)
+    rows = {"male": list(range(12)), "female": list(range(8, 20))}
+    selected = np.array([1, 4])
+    X[3, 0] = X[5, 5] = np.inf
+    model = ridge.fit_model(X, y, rows, selected)
+    assert np.all(np.isfinite(ridge.predict(model, X, "female")))
+    for bad in (np.nan, np.inf, -np.inf):
+        Y = X.copy()
+        Y[15, 4] = bad  # a female-only row
+        with pytest.raises(NonFiniteError):
+            ridge.fit_model(Y, y, rows, selected)
+        with pytest.raises(NonFiniteError):
+            ridge.predict(model, Y, "male")
+        with pytest.raises(NonFiniteError):
+            ridge.predict(model, Y[15], ridge.POOLED)
 
 
 def test_model_file_roundtrip(tmp_path):
