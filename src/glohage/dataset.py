@@ -137,21 +137,6 @@ def task_rows(rows, manifest):
     return tasks
 
 
-def partition_by_task(rows, manifest, features):
-    """Build male/female TaskDatasets from the given manifest rows.
-
-    Each task holds its ``task_rows``: unknown-gender rows go into both
-    tasks, and row order within each task follows manifest order.
-    """
-    features = np.asarray(features)
-    check_row_count(manifest, features)
-    tasks = []
-    for label, idx in task_rows(rows, manifest).items():
-        ages = np.array([manifest.samples[r].age for r in idx], dtype=np.float64)
-        tasks.append(TaskDataset(label, features[idx], ages))
-    return tasks
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of a planted-support synthetic regression instance."""

@@ -16,8 +16,10 @@ column) and adds the rows outside the set that break their zero-row
 optimality condition; when none does, the result is optimal for the full
 problem to the subproblem's tolerance. Almost every row is zero at our
 budgets, so FISTA runs on a few hundred columns, not K. The prox,
-penalty, KKT score, lambda_max and support all take one row norm,
-``_row_norms``, so they read the same bits.
+penalty, KKT score and support all take one row norm, ``_row_norms``, so
+they read the same bits. ``lambda_max`` is the largest KKT score of
+``solve``'s first pass from zero, taken by the same ``_grad`` and
+``_scores``, so at lambda_max that pass finds no violator.
 
 FISTA carries the products X_l w_l of its iterates and forms every
 product over all the working set's columns. Because the loss is
@@ -79,15 +81,6 @@ class TaskDataset:
         sub = object.__new__(TaskDataset)  # skips __post_init__'s scan
         sub.task_id, sub.y = self.task_id, self.y
         sub.X = self.X[:, cols].astype(np.float64, copy=False)
-        return sub
-
-    def with_labels(self, y):
-        """This task with new labels ``y`` (one per row); only y is checked."""
-        y = np.asarray(y, dtype=np.float64)
-        if not np.isfinite(y).all():
-            raise NonFiniteError(f"task {self.task_id}: non-finite labels")
-        sub = object.__new__(TaskDataset)  # shares X, skips __post_init__'s scan
-        sub.task_id, sub.X, sub.y = self.task_id, self.X, y
         return sub
 
     @property
@@ -172,6 +165,12 @@ def _grad(P, data, out):
     return out
 
 
+def _scores(G, mode):
+    """Each row's KKT score for staying zero, from the smooth gradient G:
+    ||G[k]|| in mtl mode, max_l |G[k, l]| in stl mode."""
+    return _row_norms(G) if mode == MODE_MTL else np.abs(G).max(1)
+
+
 def penalty(W, mode):
     if mode == MODE_MTL:
         return float(_row_norms(W).sum())
@@ -206,13 +205,15 @@ def _prox(V, tau, mode):
 
 
 def lambda_max(data, mode=MODE_MTL):
-    """Smallest lambda for which the all-zero W is optimal."""
-    # einsum sums float32 X against float64 y in float64 over blocks of X; a
-    # mixed-dtype matmul would first copy all of X to float64
-    G = np.column_stack([(2.0 / d.n) * np.einsum("nk,n->k", d.X, d.y) for d in data])
-    if mode == MODE_MTL:
-        return float(np.max(_row_norms(G)))
-    return float(np.max(np.abs(G)))
+    """Smallest lambda for which the all-zero W is optimal.
+
+    This is the largest KKT score at W = 0, from the same ``_grad`` and
+    ``_scores`` as ``solve``'s first pass (in X's dtype), so ``solve`` from
+    zero at any lam >= lambda_max finds no violator and runs no FISTA.
+    """
+    P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
+    G = _grad(P, data, np.empty((data[0].k, len(data)), order="F"))
+    return float(_scores(G, mode).max())
 
 
 def solve(data, lam, opts=SolverOptions(), w0=None):
@@ -223,16 +224,18 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     columns ``ws`` of every X_l, warm-started from W[ws]; every row outside
     ``ws`` stays exactly 0, so the subproblem's objective is the full one.
     Then one full-width gradient G is taken at W and each row outside
-    ``ws`` is scored by its KKT condition for staying zero: ||G[k]|| in mtl
-    mode, max_l |G[k, l]| in stl mode. With no score above ``lam``, W is
-    returned. Otherwise the max(20, |ws|) highest-scoring violators join
-    ``ws``, which only grows, so there are about log2(K) passes.
+    ``ws`` is scored by its KKT condition for staying zero (``_scores``):
+    ||G[k]|| in mtl mode, max_l |G[k, l]| in stl mode. With no score above
+    ``lam``, W is returned. Otherwise the max(20, |ws|) highest-scoring
+    violators join ``ws``, which only grows, so there are about log2(K)
+    passes.
 
     FISTA and its residuals run on a float64 copy of the columns ``ws``;
     the full-width gradient runs in X's dtype. ``w0`` is copied, never
     written to. In the solver's own float64 loss the result never has a
     higher objective than ``w0``; starting from zero, any lam >=
-    lambda_max returns the exact zero matrix without a FISTA iteration.
+    lambda_max (the largest score of the first pass, bit for bit) returns
+    the exact zero matrix without a FISTA iteration.
     """
     if lam < 0:
         raise NegativeLambdaError(f"lambda = {lam}")
@@ -247,7 +250,7 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
         if len(ws):
             W[ws] = _fista(sub, lam, opts, W[ws])
         _grad(_products(W[ws], sub), data, G)
-        score = _row_norms(G) if opts.mode == MODE_MTL else np.abs(G).max(1)
+        score = _scores(G, opts.mode)
         score[ws] = 0.0
         violators = (score > lam).nonzero()[0]
         if not len(violators):
@@ -395,7 +398,7 @@ def read_selection(path, n_bins, n_tasks):
         lineno = 3
         eps = float(lines[2].split("=", 1)[1])
         for lineno, ln in enumerate(lines[3:], start=4):
-            if not ln:
+            if not ln.strip():
                 continue
             parts = ln.split()
             k = int(parts[0])

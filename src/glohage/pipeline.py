@@ -75,24 +75,29 @@ def _filter_age_range(manifest, features, age_range):
 
 
 def _standardized(features, train_rows):
-    mean = features[train_rows].mean(axis=0)
-    std = features[train_rows].std(axis=0)
-    std[std == 0] = 1.0
+    train = features[train_rows]
+    mean = train.mean(axis=0)
+    std = train.std(axis=0)
+    # a constant bin's float32 std can be rounding noise instead of 0: both get 1
+    std[(std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
     return (features - mean) / std
 
 
-def _centered_labels(tasks):
-    # the selection problem has no intercept; removing the per-task label
-    # mean keeps the age offset from swamping the bin correlations
-    return [t.with_labels(t.y - t.y.mean()) for t in tasks]
-
-
 def select_bins(manifest, features, config=RunConfig(), rows=None):
-    """Fit the sparse selection on the tasks of ``rows`` (default: all rows)."""
+    """Fit the sparse selection on the tasks of ``rows`` (default: all rows).
+
+    Each task copies its ``dataset.task_rows`` of ``features`` once. Its
+    labels are its ages less their mean: the selection problem has no
+    intercept, and the age offset would swamp the bin correlations.
+    """
+    ds.check_row_count(manifest, features)
     if rows is None:
         rows = range(len(manifest.samples))
-    tasks = ds.partition_by_task(rows, manifest, features)
-    return mtl.fit_for_budget(_centered_labels(tasks), config.budget, config.solver)
+    tasks = []
+    for label, idx in ds.task_rows(rows, manifest).items():
+        ages = np.array([manifest.samples[r].age for r in idx], dtype=np.float64)
+        tasks.append(mtl.TaskDataset(label, features[idx], ages - ages.mean()))
+    return mtl.fit_for_budget(tasks, config.budget, config.solver)
 
 
 def train_model(manifest, features, config=RunConfig(), selection=None, rows=None):

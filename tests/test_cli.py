@@ -11,6 +11,10 @@ from glohage import cli, featfile, pgm
 from glohage import dataset as ds
 
 
+def text_lines(*path):
+    return Path(*path).read_text(encoding="utf-8").splitlines()
+
+
 def make_image_corpus(tmp_path, n=3):
     rng = np.random.default_rng(0)
     lines = ["path,person_id,age,gender"]
@@ -20,7 +24,7 @@ def make_image_corpus(tmp_path, n=3):
         gender = "m" if i % 2 == 0 else "f"
         lines.append(f"face{i}.pgm,p{i // 2},{20 + i},{gender}")
     man_path = tmp_path / "manifest.csv"
-    man_path.write_text("\n".join(lines) + "\n")
+    man_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(man_path)
 
 
@@ -42,7 +46,7 @@ def make_feature_corpus(tmp_path, n_persons=4, images_per_person=3, k=30, seed=1
             rows.append(x)
             idx += 1
     man_path = tmp_path / "manifest.csv"
-    man_path.write_text("\n".join(lines) + "\n")
+    man_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     feat_path = tmp_path / "features.gfv"
     featfile.write_features(str(feat_path), np.array(rows))
     return str(man_path), str(feat_path)
@@ -59,7 +63,9 @@ class TestExtract:
 
     def test_missing_image(self, tmp_path, capsys):
         man = tmp_path / "m.csv"
-        man.write_text("path,person_id,age,gender\nghost.pgm,p1,5,m\n")
+        man.write_text(
+            "path,person_id,age,gender\nghost.pgm,p1,5,m\n", encoding="utf-8"
+        )
         rc = cli.main(
             ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")]
         )
@@ -70,7 +76,7 @@ class TestExtract:
 
     def test_empty_manifest(self, tmp_path, capsys):
         man = tmp_path / "m.csv"
-        man.write_text("path,person_id,age,gender\n")
+        man.write_text("path,person_id,age,gender\n", encoding="utf-8")
         rc = cli.main(
             ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")]
         )
@@ -81,7 +87,7 @@ class TestExtract:
         img = np.zeros((64, 64), dtype=np.uint8)
         pgm.save_pgm(img, str(tmp_path / "a.pgm"))
         man = tmp_path / "m.csv"
-        man.write_text("path,person_id,age,gender\na.pgm,p1,5,m\n")
+        man.write_text("path,person_id,age,gender\na.pgm,p1,5,m\n", encoding="utf-8")
         rc = cli.main(
             ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")]
         )
@@ -91,7 +97,7 @@ class TestExtract:
     def test_config_file_override(self, tmp_path, capsys):
         man = make_image_corpus(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("stride = 6\nclip_threshold = none\n")
+        cfg.write_text("stride = 6\nclip_threshold = none\n", encoding="utf-8")
         out = str(tmp_path / "f.gfv")
         assert (
             cli.main(
@@ -117,10 +123,7 @@ class TestSynth:
         cli.main(
             ["synth", "--out-dir", out, "--k", "6", "--n", "5", "--support", "6"]
         )
-        truth = [
-            ln for ln in Path(out, "truth.txt").read_text().splitlines()
-            if ln[0].isdigit()
-        ]
+        truth = [ln for ln in text_lines(out, "truth.txt") if ln[0].isdigit()]
         assert len(truth) == 6
 
     def test_per_task_feature_files(self, tmp_path):
@@ -140,7 +143,7 @@ class TestEvaluate:
              "--budget", "5"]
         )
         assert rc == 0
-        lines = Path(out).read_text().splitlines()
+        lines = text_lines(out)
         folds = [ln for ln in lines if ln.startswith("fold,")]
         assert len(folds) == 2
 
@@ -154,7 +157,7 @@ class TestEvaluate:
                  "--mode", mode, "--budget", "5"]
             )
             assert rc == 0
-            lines = Path(out).read_text().splitlines()
+            lines = text_lines(out)
             reports[mode] = [ln.split(",")[0] for ln in lines]
         assert reports["mtl"] == reports["stl"]
 
@@ -168,7 +171,7 @@ class TestEvaluate:
         assert rc == 0
         manifest = ds.parse_manifest(man)
         n_kept = sum(1 for s in manifest.samples if 0 <= s.age <= 30)
-        summary = Path(out).read_text().splitlines()[0].split(",")
+        summary = text_lines(out)[0].split(",")
         assert int(summary[1]) == n_kept
 
     def test_row_count_mismatch(self, tmp_path, capsys):
@@ -186,7 +189,7 @@ class TestEvaluate:
             ["evaluate", "--manifest", man, "--features", feat, "--out", out,
              "--budget", "5", "--cs-max", "3"]
         )
-        cs = [ln for ln in Path(out).read_text().splitlines() if ln.startswith("cs,")]
+        cs = [ln for ln in text_lines(out) if ln.startswith("cs,")]
         assert len(cs) == 4
 
     def test_standardize_flag_runs(self, tmp_path):
@@ -208,7 +211,7 @@ class TestSelectTrainPredict:
              "--budget", "5"]
         )
         assert rc == 0
-        lines = Path(out).read_text().splitlines()
+        lines = text_lines(out)
         assert lines[0] == "GLOHSEL 1"
         assert lines[1].startswith("lambda=")
         assert lines[2].startswith("epsilon=")
@@ -224,7 +227,7 @@ class TestSelectTrainPredict:
              "--budget", "5"]
         )
         assert rc == 0
-        assert Path(model_path).read_text().splitlines()[0] == "GLOHRIDGE 1"
+        assert text_lines(model_path)[0] == "GLOHRIDGE 1"
 
         pred_path = str(tmp_path / "pred.csv")
         rc = cli.main(
@@ -232,7 +235,7 @@ class TestSelectTrainPredict:
              "--manifest", man, "--out", pred_path]
         )
         assert rc == 0
-        lines = Path(pred_path).read_text().splitlines()
+        lines = text_lines(pred_path)
         assert lines[0] == "row,pred_age"
         n_rows = featfile.read_features(feat).shape[0]
         assert len(lines) == n_rows + 1
@@ -254,7 +257,7 @@ class TestSelectTrainPredict:
             ["predict", "--model", model_path, "--features", feat, "--out", pred_path]
         )
         assert rc == 0
-        assert len(Path(pred_path).read_text().splitlines()) == 13
+        assert len(text_lines(pred_path)) == 13
 
     def test_train_reusing_selection(self, tmp_path):
         man, feat = make_feature_corpus(tmp_path)
@@ -270,6 +273,23 @@ class TestSelectTrainPredict:
         )
         assert rc == 0
 
+    def test_train_selection_with_whitespace_line(self, tmp_path):
+        # a line of spaces in a GLOHSEL file is skipped like an empty one
+        man, feat = make_feature_corpus(tmp_path)
+        models = []
+        for name, extra in (("plain", ""), ("spaces", "   \n")):
+            sel = tmp_path / f"{name}.sel"
+            body = "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n" + extra
+            sel.write_text(body, encoding="utf-8")
+            model = tmp_path / f"{name}.model"
+            rc = cli.main(
+                ["train", "--manifest", man, "--features", feat, "--out", str(model),
+                 "--selection", str(sel)]
+            )
+            assert rc == 0
+            models.append(model.read_bytes())
+        assert models[0] == models[1]
+
 
 class TestErrorContract:
     """Bad input ends in one ``ERROR <code>: <detail>`` line, not a traceback."""
@@ -283,7 +303,7 @@ class TestErrorContract:
     def test_non_integer_budget_in_config(self, tmp_path, capsys):
         man, feat = make_feature_corpus(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("budget = x\n")
+        cfg.write_text("budget = x\n", encoding="utf-8")
         self.run_failing(
             ["select", "--manifest", man, "--features", feat,
              "--out", str(tmp_path / "sel.txt"), "--config", str(cfg)],
@@ -307,7 +327,7 @@ class TestErrorContract:
     def test_bad_setting_in_config(self, tmp_path, capsys, settings):
         man, feat = make_feature_corpus(tmp_path)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(settings + "\n")
+        cfg.write_text(settings + "\n", encoding="utf-8")
         self.run_failing(
             ["evaluate", "--manifest", man, "--features", feat,
              "--out", str(tmp_path / "report.csv"), "--budget", "5",
@@ -318,7 +338,7 @@ class TestErrorContract:
     def test_two_radii_in_config(self, tmp_path, capsys):
         man = make_image_corpus(tmp_path, n=1)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("radii = 1,2\n")
+        cfg.write_text("radii = 1,2\n", encoding="utf-8")
         self.run_failing(
             ["extract", "--manifest", man, "--out", str(tmp_path / "f.gfv"),
              "--config", str(cfg)],
@@ -339,7 +359,7 @@ class TestErrorContract:
     def test_bad_geometry_in_config(self, tmp_path, capsys, setting):
         man = make_image_corpus(tmp_path, n=1)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(setting + "\n")
+        cfg.write_text(setting + "\n", encoding="utf-8")
         self.run_failing(
             ["extract", "--manifest", man, "--out", str(tmp_path / "f.gfv"),
              "--config", str(cfg)],
@@ -349,7 +369,9 @@ class TestErrorContract:
     def test_selection_bin_out_of_range(self, tmp_path, capsys):
         man, feat = make_feature_corpus(tmp_path)  # K = 30
         sel = tmp_path / "sel.txt"
-        sel.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n30 1.0 2.0\n")
+        sel.write_text(
+            "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n30 1.0 2.0\n", encoding="utf-8"
+        )
         self.run_failing(
             ["train", "--manifest", man, "--features", feat,
              "--out", str(tmp_path / "model.txt"), "--selection", str(sel)],
@@ -361,7 +383,8 @@ class TestErrorContract:
         model = tmp_path / "model.txt"
         model.write_text(
             "GLOHRIDGE 1\ntask=pooled\nalpha=1.0\nintercept=30.0\n"
-            "clamp=0.0 69.0\n3 1.0 2.0\n"
+            "clamp=0.0 69.0\n3 1.0 2.0\n",
+            encoding="utf-8",
         )
         self.run_failing(
             ["predict", "--model", str(model), "--features", feat,
@@ -372,15 +395,15 @@ class TestErrorContract:
     @pytest.mark.parametrize("n_rows", [4, 13])  # the features have 12 rows
     def test_predict_manifest_row_count(self, tmp_path, capsys, n_rows):
         man, feat = make_feature_corpus(tmp_path)
-        lines = Path(man).read_text().splitlines()[: n_rows + 1]
+        lines = text_lines(man)[: n_rows + 1]
         lines += [f"synthetic:{i},extra,30,m" for i in range(12, n_rows)]
         rows_csv = tmp_path / "rows.csv"
-        rows_csv.write_text("\n".join(lines) + "\n")
+        rows_csv.write_text("\n".join(lines) + "\n", encoding="utf-8")
         model = tmp_path / "model.txt"
         model.write_text("GLOHRIDGE 1\n" + "".join(
             f"task={t}\nalpha=1.0\nintercept=30.0\nclamp=0.0 69.0\n3 1.0\n"
             for t in ("male", "female", "pooled")
-        ))
+        ), encoding="utf-8")
         self.run_failing(
             ["predict", "--model", str(model), "--features", feat,
              "--manifest", str(rows_csv), "--out", str(tmp_path / "pred.csv")],
@@ -391,7 +414,9 @@ class TestErrorContract:
         man, feat = make_feature_corpus(tmp_path)
         featfile.write_features(feat, featfile.read_features(feat)[:-1])
         sel = tmp_path / "sel.txt"
-        sel.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n")
+        sel.write_text(
+            "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n", encoding="utf-8"
+        )
         self.run_failing(
             ["train", "--manifest", man, "--features", feat,
              "--out", str(tmp_path / "model.txt"), "--selection", str(sel)],
@@ -404,7 +429,9 @@ class TestErrorContract:
         feats[0, 3] = np.nan
         featfile.write_features(feat, feats)
         sel = tmp_path / "sel.txt"
-        sel.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n")
+        sel.write_text(
+            "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n", encoding="utf-8"
+        )
         self.run_failing(
             ["train", "--manifest", man, "--features", feat,
              "--out", str(tmp_path / "model.txt"), "--selection", str(sel)],
@@ -419,7 +446,8 @@ class TestErrorContract:
         model = tmp_path / "model.txt"
         model.write_text(
             "GLOHRIDGE 1\ntask=pooled\nalpha=1.0\nintercept=30.0\n"
-            "clamp=0.0 69.0\n3 1.0\n"
+            "clamp=0.0 69.0\n3 1.0\n",
+            encoding="utf-8",
         )
         self.run_failing(
             ["predict", "--model", str(model), "--features", feat,
@@ -456,7 +484,8 @@ class TestErrorContract:
 
 
 def test_readme_lists_every_config_key():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    readme = readme.read_text(encoding="utf-8")
     section = readme.split("Config keys", 1)[1].split("\n## ", 1)[0]
     keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
     assert sorted(keys) == sorted(cli.SETTINGS)
@@ -486,7 +515,8 @@ def test_runs_end_to_end_without_scipy(tmp_path):
     for cmd in NUMPY_ONLY_RUN:
         done = subprocess.run(
             [sys.executable, "-c", block_scipy, *cmd.format(d=tmp_path).split()],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+            encoding="utf-8",
         )
         assert done.returncode == 0, (cmd, done.stderr)
-    assert (tmp_path / "report.csv").read_text().startswith("summary,")
+    assert (tmp_path / "report.csv").read_text(encoding="utf-8").startswith("summary,")

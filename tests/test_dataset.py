@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glohage import dataset as ds
+from glohage import pipeline
 from glohage.errors import (
     DuplicatePathError,
     EmptyTaskError,
@@ -16,7 +17,7 @@ HEADER = "path,person_id,age,gender\n"
 
 def write_manifest_text(tmp_path, text, name="m.csv"):
     p = tmp_path / name
-    p.write_text(text)
+    p.write_text(text, encoding="utf-8")
     return str(p)
 
 
@@ -105,44 +106,39 @@ class TestSplitLopo:
 
 
 class TestPartitionByTask:
-    def make(self, genders, ages=None):
-        ages = ages or [10 + i for i in range(len(genders))]
-        man = ds.Manifest(
-            [
-                ds.Sample(f"i{i}.pgm", f"p{i}", a, g)
-                for i, (g, a) in enumerate(zip(genders, ages))
-            ]
+    """``dataset.task_rows``, the one rule that splits rows into tasks for
+    the selection and the ridge fits alike."""
+
+    def make(self, genders):
+        return ds.Manifest(
+            [ds.Sample(f"i{i}.pgm", f"p{i}", 10 + i, g) for i, g in enumerate(genders)]
         )
-        feats = np.arange(len(genders) * 4, dtype=np.float64).reshape(-1, 4)
-        return man, feats
 
     def test_all_male_raises(self):
-        man, feats = self.make([ds.MALE, ds.MALE])
+        man = self.make([ds.MALE, ds.MALE])
         with pytest.raises(EmptyTaskError):
-            ds.partition_by_task([0, 1], man, feats)
+            ds.task_rows([0, 1], man)
 
     def test_counts(self):
-        man, feats = self.make([ds.MALE, ds.MALE, ds.FEMALE, ds.FEMALE, ds.FEMALE])
-        male, female = ds.partition_by_task(range(5), man, feats)
-        assert male.n == 2 and female.n == 3
-        assert male.task_id == ds.MALE and female.task_id == ds.FEMALE
+        man = self.make([ds.MALE, ds.MALE, ds.FEMALE, ds.FEMALE, ds.FEMALE])
+        tasks = ds.task_rows(range(5), man)
+        assert list(tasks) == [ds.MALE, ds.FEMALE]
+        assert tasks == {ds.MALE: [0, 1], ds.FEMALE: [2, 3, 4]}
 
     def test_unknown_duplicated_into_both(self):
-        man, feats = self.make([ds.UNKNOWN, ds.MALE, ds.FEMALE])
-        male, female = ds.partition_by_task(range(3), man, feats)
-        assert male.n == 2 and female.n == 2
-        assert np.array_equal(male.X[0], feats[0])
-        assert np.array_equal(female.X[0], feats[0])
+        man = self.make([ds.UNKNOWN, ds.MALE, ds.FEMALE])
+        assert ds.task_rows(range(3), man) == {ds.MALE: [0, 1], ds.FEMALE: [0, 2]}
 
     def test_row_count_mismatch(self):
-        man, feats = self.make([ds.MALE, ds.FEMALE])
+        man = self.make([ds.MALE, ds.FEMALE])
+        feats = np.zeros((1, 4), dtype=np.float32)
         with pytest.raises(RowCountMismatchError):
-            ds.partition_by_task([0, 1], man, feats[:1])
+            pipeline.select_bins(man, feats, pipeline.RunConfig(budget=1))
 
     def test_manifest_order_preserved(self):
-        man, feats = self.make([ds.FEMALE, ds.MALE, ds.MALE])
-        male, _ = ds.partition_by_task([2, 0, 1], man, feats)
-        assert np.array_equal(male.X, feats[[1, 2]])
+        man = self.make([ds.FEMALE, ds.MALE, ds.MALE, ds.UNKNOWN])
+        tasks = ds.task_rows([3, 2, 0, 1], man)
+        assert tasks == {ds.MALE: [1, 2, 3], ds.FEMALE: [0, 3]}
 
 
 class TestSynthGenerate:

@@ -29,7 +29,7 @@ def test_demo_runs(tmp_path, script, headers):
     )
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / script)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=env, capture_output=True, encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()

@@ -105,7 +105,7 @@ def test_report_csv_format(tmp_path):
     )
     path = str(tmp_path / "report.csv")
     metrics.write_report(path, rep)
-    lines = Path(path).read_text().strip().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").strip().splitlines()
     assert lines[0].startswith("summary,3,")
     assert lines[1].startswith("std,")
     assert [ln.split(",")[0] for ln in lines[2:5]] == ["cs", "cs", "cs"]

@@ -124,22 +124,50 @@ class TestLambdaMax:
         )
         assert mtl.lambda_max(data, mtl.MODE_STL) == pytest.approx(np.abs(G).max())
 
-    def test_float32_design_sums_in_float64(self):
-        data = random_instance(8, K=400, L=2, N=300)
-        data32 = [TaskDataset(d.task_id, d.X.astype(np.float32), d.y) for d in data]
-        G = np.column_stack(
-            [(2.0 / d.n) * (d.X.astype(np.float64).T @ d.y) for d in data32]
-        )
-        assert mtl.lambda_max(data32) == pytest.approx(
-            np.linalg.norm(G, axis=1).max(), rel=1e-12
-        )
+    @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
+    def test_float32_is_solve_first_pass_bound(self, monkeypatch, mode):
+        # lambda_max is the largest zero-row score of solve's first pass,
+        # bit for bit: at lambda_max solve returns zero without FISTA, and
+        # one step below it FISTA runs
+        opts = SolverOptions(mode=mode)
+        grads, fista_calls = [], []
+        grad, fista = mtl._grad, mtl._fista
+
+        def grad_spy(P, data, out):
+            grads.append(grad(P, data, out).copy())
+            return out
+
+        def fista_spy(*args):
+            fista_calls.append(1)
+            return fista(*args)
+
+        monkeypatch.setattr(mtl, "_grad", grad_spy)
+        monkeypatch.setattr(mtl, "_fista", fista_spy)
+        for seed in range(12):
+            rng = np.random.default_rng(100 + seed)
+            n, k = int(rng.integers(20, 300)), int(rng.integers(50, 3000))
+            data = [
+                TaskDataset(f"t{l}", rng.standard_normal((n, k), dtype=np.float32),
+                            30.0 + 10.0 * rng.standard_normal(n))
+                for l in range(2)
+            ]
+            lam = mtl.lambda_max(data, mode)
+            grads.clear()
+            W = mtl.solve(data, lam, opts)
+            assert W.tobytes() == np.zeros((k, 2)).tobytes() and fista_calls == []
+            G, = grads  # one pass, one full-width gradient
+            score = np.linalg.norm(G, axis=1) if mode == mtl.MODE_MTL else np.abs(G)
+            assert lam == score.max()
+            mtl.solve(data, np.nextafter(lam, 0.0), opts)
+            assert fista_calls
+            fista_calls.clear()
 
 
 class TestSolve:
     def test_zero_above_lambda_max(self):
         for seed in range(5):
             data = random_instance(seed)
-            lam = mtl.lambda_max(data) * (1 + 1e-6)
+            lam = mtl.lambda_max(data)
             assert np.all(mtl.solve(data, lam) == 0)
 
     def test_unregularized_square_system(self):
@@ -284,14 +312,6 @@ class TestSolve:
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
         assert np.array_equal(lam.view(np.uint64), ref.view(np.uint64))
 
-    def test_with_labels_checks_only_y(self):
-        data = random_instance(24, K=8, N=6)
-        t = data[0].with_labels(data[0].y - 1.0)
-        assert np.shares_memory(t.X, data[0].X)
-        assert np.array_equal(t.y, data[0].y - 1.0)
-        with pytest.raises(NonFiniteError):
-            data[0].with_labels(np.full(6, np.inf))
-
 
 class TestWorkingSet:
     """solve grows a working set of rows and runs _fista on its columns only;
@@ -392,8 +412,7 @@ class TestWorkingSet:
         widths = self.spy_fista(monkeypatch)
         for seed in range(5):
             data = random_instance(seed, K=300)
-            # lambda_max and the solver's gradient may round apart by an ulp
-            lam = mtl.lambda_max(data, mode) * (1 + 1e-12)
+            lam = mtl.lambda_max(data, mode)
             opts = SolverOptions(mode=mode)
             assert np.all(mtl.solve(data, lam, opts) == 0)
             assert np.all(mtl.solve(data, 2 * lam, opts) == 0)
@@ -521,6 +540,9 @@ class TestFitForBudget:
         assert np.array_equal(res.selected, best)
 
 
+HEADER = "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n"
+
+
 @pytest.mark.parametrize(
     "body, error",
     [
@@ -533,9 +555,19 @@ class TestFitForBudget:
 )
 def test_selection_reader_rejects(tmp_path, body, error):
     path = tmp_path / "sel.txt"
-    path.write_text("GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n" + body)
+    path.write_text(HEADER + body, encoding="utf-8")
     with pytest.raises(error):
         mtl.read_selection(str(path), 30, 2)
+
+
+def test_selection_reader_skips_blank_lines(tmp_path):
+    path = tmp_path / "sel.txt"
+    for blank in ("", "   ", "\t", " \t "):
+        body = f"3 1.0 2.0\n{blank}\n7 -0.5 0.25\n{blank}\n"
+        path.write_text(HEADER + body, encoding="utf-8")
+        sel = mtl.read_selection(str(path), 30, 2)
+        assert list(sel.selected) == [3, 7]
+        assert sel.W[[3, 7]].tolist() == [[1.0, 2.0], [-0.5, 0.25]]
 
 
 def test_selection_file_roundtrip(tmp_path):
@@ -548,7 +580,7 @@ def test_selection_file_roundtrip(tmp_path):
     assert back.epsilon == res.epsilon
     assert np.array_equal(back.selected, res.selected)
     assert np.allclose(back.W, res.W)
-    header = Path(path).read_text().splitlines()[0]
+    header = Path(path).read_text(encoding="utf-8").splitlines()[0]
     assert header == "GLOHSEL 1"
 
 

@@ -294,7 +294,7 @@ def test_model_file_roundtrip(tmp_path):
         assert np.allclose(back.weights[task], m.weights[task])
         assert back.intercepts[task] == m.intercepts[task]
         assert back.alphas[task] == m.alphas[task]
-    assert Path(path).read_text().splitlines()[0] == "GLOHRIDGE 1"
+    assert Path(path).read_text(encoding="utf-8").splitlines()[0] == "GLOHRIDGE 1"
 
 
 @pytest.mark.parametrize(
@@ -350,7 +350,7 @@ def test_model_file_roundtrip(tmp_path):
 )
 def test_model_reader_rejects(tmp_path, body, error):
     path = tmp_path / "model.txt"
-    path.write_text("GLOHRIDGE 1\n" + body)
+    path.write_text("GLOHRIDGE 1\n" + body, encoding="utf-8")
     with pytest.raises(error):
         ridge.read_model(str(path))
 
@@ -364,7 +364,7 @@ def test_model_reader_rejects(tmp_path, body, error):
 )
 def test_model_reader_names_the_offending_line(tmp_path, body, where):
     path = tmp_path / "model.txt"
-    path.write_text("GLOHRIDGE 1\n" + body)
+    path.write_text("GLOHRIDGE 1\n" + body, encoding="utf-8")
     with pytest.raises(MalformedRowError, match=where):
         ridge.read_model(str(path))
 
