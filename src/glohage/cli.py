@@ -64,6 +64,9 @@ SETTINGS = {
     "age_range": ("run", _age_range),
 }
 
+# keys only evaluate reads: select and train refuse them instead of ignoring them
+EVALUATE_ONLY = ("standardize", "age_range")
+
 
 def _parse_config_file(path):
     """Flat 'key = value' file; '#' starts a comment, blank lines ignored.
@@ -91,13 +94,17 @@ def _parse_config_file(path):
     return values
 
 
-def build_config(args):
+def build_config(args, refused=()):
     """Merge config-file values and CLI flags into a RunConfig.
 
     Both are text parsed by the SETTINGS table; a flag wins over the file.
-    A value that does not parse or is out of range raises InvalidSpecError.
+    A value that does not parse or is out of range, or a key in
+    ``refused``, raises InvalidSpecError.
     """
     raw = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in refused:
+        if key in raw:
+            raise InvalidSpecError(f"{key} applies to evaluate only")
     for key in SETTINGS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -135,7 +142,7 @@ def cmd_extract(args):
 
 
 def cmd_select(args):
-    config = build_config(args)
+    config = build_config(args, EVALUATE_ONLY)
     manifest, features = _load_pair(args.manifest, args.features)
     sel = pipeline.select_bins(manifest, features, config)
     mtl.write_selection(args.out, sel)
@@ -143,7 +150,7 @@ def cmd_select(args):
 
 
 def cmd_train(args):
-    config = build_config(args)
+    config = build_config(args, EVALUATE_ONLY)
     manifest, features = _load_pair(args.manifest, args.features)
     selection = None
     if args.selection:

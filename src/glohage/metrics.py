@@ -1,5 +1,7 @@
 """MAE and cumulative-score evaluation metrics."""
 
+import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,10 +74,14 @@ def write_report(path, report):
 
 
 def format_report(report):
-    lines = [f"summary,{report.n},{report.mae!r}"]
-    lines.append(f"std,{report.err_std!r}")
+    """The report as CSV text; a person id holding a comma or a quote is
+    quoted, so every fold row keeps four fields."""
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
+    rows.writerow(["summary", report.n, repr(report.mae)])
+    rows.writerow(["std", repr(report.err_std)])
     for j, v in enumerate(report.cs_curve):
-        lines.append(f"cs,{j},{float(v)!r}")
+        rows.writerow(["cs", j, repr(float(v))])
     for person, n, fold_mae in report.per_fold:
-        lines.append(f"fold,{person},{n},{fold_mae!r}")
-    return "\n".join(lines) + "\n"
+        rows.writerow(["fold", person, n, repr(fold_mae)])
+    return out.getvalue()

@@ -10,16 +10,25 @@ coefficient row survives thresholding are the selected features.
 
 ``solve`` works on a growing set of rows. Each outer pass gathers the
 set's columns of X once, as float64, for FISTA (accelerated proximal
-gradient) with backtracking and for the residuals, then takes one
-task-major full-width gradient in X's dtype (each X_l^T r_l a contiguous
-column) and adds the rows outside the set that break their zero-row
-optimality condition; when none does, the result is optimal for the full
-problem to the subproblem's tolerance. Almost every row is zero at our
-budgets, so FISTA runs on a few hundred columns, not K. The prox,
-penalty, KKT score and support all take one row norm, ``_row_norms``, so
-they read the same bits. ``lambda_max`` is the largest KKT score of
-``solve``'s first pass from zero, taken by the same ``_grad`` and
-``_scores``, so at lambda_max that pass finds no violator.
+gradient) with backtracking and for the residuals, then adds the rows
+outside the set that break their zero-row optimality condition (KKT
+check); when none does, the result is optimal for the full problem to
+the subproblem's tolerance. Almost every row is zero at our budgets, so
+FISTA runs on a few hundred columns, not K. The prox, penalty, KKT score
+and support all take one row norm, ``_row_norms``, so they read the same
+bits.
+
+The KKT check decides every row in float64 without a full-width product
+on most passes (``_Screen``). Each task keeps its last full-width
+gradient, taken in X's dtype, as a reference; a row's score at new
+products differs from the reference by at most a bound from its column
+norm and how far the products moved, so only the rows whose bound
+reaches lambda are scored, each in float64 from its own column. When
+more columns would be gathered than the product reads, the product is
+taken again and becomes the new reference. The decisions, and so
+``solve``'s result, do not depend on which reference a task carries.
+``lambda_max`` is the largest float64 score at W = 0 from the same
+scoring, so at lambda_max ``solve`` from zero finds no violator.
 
 FISTA carries the products X_l w_l of its iterates and forms every
 product over all the working set's columns. Because the loss is
@@ -53,11 +62,18 @@ INIT_STEP = 1.0  # first FISTA step of every call
 STEP_SHRINK = 0.5  # backtracking factor on the step
 SUPPORT_EPSILON = 1e-8  # row norm above which a bin counts as selected
 MAX_BISECT = 40  # most solves one lambda search makes
+CACHE_LINE = 64  # bytes read per element when gathering a column of a row-major X
 
 
 @dataclass
 class TaskDataset:
-    """Design matrix and age labels for one task (one gender)."""
+    """Design matrix and age labels for one task (one gender).
+
+    The task also keeps what the solver's KKT screen reads (``_Screen``):
+    upper bounds on its squared column norms, taken once in X's dtype and
+    rounded up by the error bound of that sum, and the screen of its last
+    full-width pass. X and y must not change once the task is made.
+    """
 
     task_id: str
     X: np.ndarray  # (N_l, K)
@@ -72,8 +88,17 @@ class TaskDataset:
             )
         if self.X.shape[0] < 1:
             raise ShapeMismatchError(f"task {self.task_id}: empty dataset")
-        if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.y))):
+        with np.errstate(over="ignore"):  # an overflow is an infinite bound
+            c2 = np.einsum("ij,ij->j", self.X, self.X)
+        # a non-finite entry leaves its column's sum non-finite, so X is
+        # scanned only when a sum is
+        if not (np.isfinite(c2).all() or np.isfinite(self.X).all()) or not np.isfinite(
+            self.y
+        ).all():
             raise NonFiniteError(f"task {self.task_id}: non-finite entries")
+        self._norms2 = np.multiply(c2, 1.0 + 2.0 * _gamma(self.n, self.X.dtype),
+                                   dtype=np.float64)
+        self._ref = None  # (screen, position): the screen of the last full-width pass
 
     def columns(self, cols):
         """This task on a float64 copy of the listed columns of X, without
@@ -159,10 +184,30 @@ def _loss(P, data):
 
 
 def _grad(P, data, out):
-    """Write (2 / N_l) X_l^T (P_l - y_l) into the columns of ``out``."""
+    """Write (2 / N_l) X_l^T (P_l - y_l) into the columns of ``out``; the
+    residual is formed in float64 and the product runs in X's dtype."""
     for l, (p, d) in enumerate(zip(P, data)):
-        out[:, l] = (2.0 / len(p)) * (d.X.T @ np.subtract(p, d.y, dtype=d.X.dtype))
+        out[:, l] = (2.0 / len(p)) * (d.X.T @ (p - d.y).astype(d.X.dtype, copy=False))
     return out
+
+
+def _gamma(n, dtype):
+    """Relative error bound of (2 / n) X^T r over n rows in ``dtype``: the
+    n-term sums, the cast of r and the scale by 2 / n."""
+    x = (n + 4) * float(np.finfo(dtype).eps) / 2
+    return x / (1.0 - x) if x < 1.0 else math.inf
+
+
+def _exact_scores(P, data, rows, mode):
+    """Float64 KKT scores of ``rows`` at products P. Each column is summed
+    on its own, so a row's score has the same bits whichever rows are
+    scored with it."""
+    G = np.empty((len(rows), len(data)), order="F")
+    for l, (p, d) in enumerate(zip(P, data)):
+        cols = d.X.T[rows].astype(np.float64, copy=False)  # (rows, N), a fresh array
+        cols *= p - d.y
+        G[:, l] = (2.0 / len(p)) * cols.sum(1)
+    return _scores(G, mode)
 
 
 def _scores(G, mode):
@@ -204,16 +249,156 @@ def _prox(V, tau, mode):
     return out, float(kept.sum()) - tau * len(rows)
 
 
+class _Screen:
+    """The KKT check of ``solve``: which rows outside the working set break
+    their zero-row condition at products P, decided in float64.
+
+    The reference is the last full-width pass over the tasks: products
+    p̂_l, the gradient G computed in X's dtype and ρ̂_l = ||p̂_l - y_l||.
+    A task's gradient depends only on its own w_l, so a reference from any
+    earlier pass, at any lambda, stays valid. At products p_l every row's
+    float64 gradient entry is within
+
+        t_kl = (2 / N_l) c_kl (δ_l + γ_l ρ̂_l + γ64_l (ρ̂_l + δ_l))
+
+    of G[k, l], with c_kl the column norm, δ_l = ||p_l - p̂_l||
+    (Cauchy-Schwarz) and γ the rounding bounds of the reference's product
+    and of the float64 score (``_gamma``). So a row's score lies within
+    [lo, hi]: ||G[k]|| ± ||t_k|| in mtl mode, max_l (|G[k, l]| ± t_kl) in
+    stl mode, widened by a relative slack for the float64 rounding of the
+    bound and the score. Rows whose hi reaches the threshold are scored by
+    ``_exact_scores``; of the rest none can violate, nor outrank the n rows
+    with the highest lo. Once the columns scored against the reference
+    would gather more bytes than one full-width product reads, the product
+    is taken at P instead and becomes the reference. A non-finite entry of
+    G bounds nothing (NaN).
+
+    A screen serves one list of tasks, and each task keeps the screen and
+    its position in it (``TaskDataset._ref``), so every solve on the same
+    list starts from the last full-width pass.
+    """
+
+    def __init__(self, data):
+        self.n = len(data)
+        self.c2 = np.column_stack([d._norms2 for d in data])
+        self.gammas = [(_gamma(d.n, d.X.dtype), _gamma(d.n, np.float64)) for d in data]
+        self.slack = 4 * (len(data) + 4) * np.finfo(np.float64).eps
+        # gathering a column of a row-major X reads one cache line per row
+        self.max_gather = sum(d.X.nbytes for d in data) // (CACHE_LINE * sum(d.n for d in data))
+        self.P = self.G = self.rho = None  # the reference, from the first pass on
+        self.bounded = True  # every entry of G is finite
+        self.gathered = 0  # columns scored against it
+        self._c = {}  # mode -> (c or c^2 per row and task, its column maxima)
+        self._score = {}  # mode -> score of G
+
+    @classmethod
+    def of(cls, data):
+        """The screen of the last full-width pass over exactly ``data``, in
+        this order, or a new one."""
+        screen = data[0]._ref[0] if data[0]._ref else None
+        if screen is None or screen.n != len(data) or any(
+            d._ref != (screen, l) for l, d in enumerate(data)
+        ):
+            screen = cls(data)
+        return screen
+
+    def refresh(self, data, P):
+        """Take the full-width gradient at P in X's dtype as the reference."""
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow bounds nothing
+            G = _grad(P, data, np.empty((data[0].k, len(data)), order="F"))
+        self.bounded = bool(np.isfinite(G).all())
+        if not self.bounded:
+            G[~np.isfinite(G)] = np.nan
+        self.P, self.G, self._score = P, G, {}
+        self.rho = [float(np.linalg.norm(p - d.y)) for p, d in zip(P, data)]
+        self.gathered = 0
+        for l, d in enumerate(data):
+            d._ref = (self, l)
+
+    def _bound_parts(self, mode):
+        if mode not in self._c:
+            c = self.c2 if mode == MODE_MTL else np.sqrt(self.c2)
+            self._c[mode] = c, np.array([c[:, l].max() for l in range(self.n)])
+        if mode not in self._score:
+            self._score[mode] = _scores(self.G, mode)
+        return self._score[mode], *self._c[mode]
+
+    def _candidates(self, P, ws, mode, lam, n, room):
+        """Rows outside ``ws`` that may score above ``lam`` at P and may be
+        among the n highest scores, or None when P is off the reference
+        and more than ``room`` rows are near enough to need a look."""
+        a = np.empty(self.n)  # t_kl = c_kl a_l
+        moved = False
+        for l, (p, p_ref, rho, (g, g64)) in enumerate(zip(P, self.P, self.rho, self.gammas)):
+            diff = p - p_ref
+            delta = math.sqrt(float(diff @ diff))
+            moved = moved or delta > 0
+            a[l] = (2.0 / len(p)) * (delta + g * rho + g64 * (rho + delta))
+        score, c, c_max = self._bound_parts(mode)
+        score = score.copy()
+        score[ws] = -np.inf
+        # a score lies in [lo (1 - s), hi (1 + s)]; thresholds carry the slack
+        low, high = 1.0 - 2.0 * self.slack, 1.0 + 2.0 * self.slack
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN marks "no bound"
+            # every t_k is at most T, so a row scoring below lam - T cannot
+            # violate. With q the n-th highest score, a row below q - 2T
+            # cannot either if q - T <= lam; otherwise the n rows scoring q
+            # or more all violate, and it cannot outrank them.
+            if mode == MODE_MTL:
+                T = math.sqrt(c_max @ (a * a))
+            else:
+                T = float((c_max * a).max())
+            if math.isnan(T):
+                T = math.inf
+            near = np.flatnonzero(~(score <= lam * low - T))
+            if moved and len(near) > room:
+                return None
+            if len(near) > n and self.bounded:
+                q = np.partition(score[near], len(near) - n)[len(near) - n]
+                near = near[~(score[near] < (q - T) * (low - self.slack) - T)]
+            if mode == MODE_MTL:
+                t = np.sqrt(c[near] @ (a * a))
+                hi, lo = score[near] + t, score[near] - t
+            else:
+                g, t = np.abs(self.G[near]), c[near] * a
+                hi, lo = (g + t).max(1), (g - t).max(1)
+        sure = lo[lo > lam * high]
+        if len(sure) >= n:  # rows below the n-th highest lo cannot outrank these n
+            tau = np.partition(sure, len(sure) - n)[len(sure) - n]
+            return near[~(hi < tau * low)]
+        return near[~(hi <= lam * low)]
+
+    def violators(self, data, P, ws, mode, lam, n):
+        """The n rows outside ``ws`` with the highest float64 scores above
+        ``lam`` at products P, highest first (ties to the lower row), and
+        their scores."""
+        if self.G is None:
+            self.refresh(data, P)
+        rows = self._candidates(P, ws, mode, lam, n, self.max_gather - self.gathered)
+        if rows is None:
+            self.refresh(data, P)  # P is the reference now, so rows come back
+            rows = self._candidates(P, ws, mode, lam, n, self.max_gather)
+        if not len(rows):
+            return rows, np.zeros(0)
+        self.gathered += len(rows)
+        score = _exact_scores(P, data, rows, mode)
+        over = score > lam
+        rows, score = rows[over], score[over]
+        order = np.argsort(-score, kind="stable")[:n]
+        return rows[order], score[order]
+
+
 def lambda_max(data, mode=MODE_MTL):
     """Smallest lambda for which the all-zero W is optimal.
 
-    This is the largest KKT score at W = 0, from the same ``_grad`` and
-    ``_scores`` as ``solve``'s first pass (in X's dtype), so ``solve`` from
-    zero at any lam >= lambda_max finds no violator and runs no FISTA.
+    This is the largest float64 KKT score at W = 0, scored as ``solve``
+    scores its rows (``_Screen``), so ``solve`` from zero at any lam >=
+    lambda_max finds no violator and runs no FISTA. On tasks without a
+    reference, its full-width pass at W = 0 becomes the first one.
     """
     P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
-    G = _grad(P, data, np.empty((data[0].k, len(data)), order="F"))
-    return float(_scores(G, mode).max())
+    _, score = _Screen.of(data).violators(data, P, np.zeros(0, dtype=np.intp), mode, 0.0, 1)
+    return float(score[0]) if len(score) else 0.0
 
 
 def solve(data, lam, opts=SolverOptions(), w0=None):
@@ -223,19 +408,21 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     from zero, the default). Each outer pass runs FISTA (``_fista``) on the
     columns ``ws`` of every X_l, warm-started from W[ws]; every row outside
     ``ws`` stays exactly 0, so the subproblem's objective is the full one.
-    Then one full-width gradient G is taken at W and each row outside
-    ``ws`` is scored by its KKT condition for staying zero (``_scores``):
-    ||G[k]|| in mtl mode, max_l |G[k, l]| in stl mode. With no score above
-    ``lam``, W is returned. Otherwise the max(20, |ws|) highest-scoring
-    violators join ``ws``, which only grows, so there are about log2(K)
-    passes.
+    Then each row outside ``ws`` is checked against its KKT condition for
+    staying zero: the float64 score of the smooth gradient G at W,
+    ||G[k]|| in mtl mode, max_l |G[k, l]| in stl mode, must not exceed
+    ``lam`` (``_Screen``; most passes score only a few rows and take no
+    full-width product). With no violator, W is returned. Otherwise the
+    max(20, |ws|) highest-scoring violators join ``ws``, which only grows,
+    so there are about log2(K) passes.
 
-    FISTA and its residuals run on a float64 copy of the columns ``ws``;
-    the full-width gradient runs in X's dtype. ``w0`` is copied, never
-    written to. In the solver's own float64 loss the result never has a
-    higher objective than ``w0``; starting from zero, any lam >=
-    lambda_max (the largest score of the first pass, bit for bit) returns
-    the exact zero matrix without a FISTA iteration.
+    FISTA and its residuals run on a float64 copy of the columns ``ws``.
+    ``w0`` is copied, never written to. The result depends only on
+    ``data``, ``lam``, ``opts`` and ``w0``, never on the references the
+    tasks carry from earlier calls. In the solver's own float64 loss it
+    never has a higher objective than ``w0``; starting from zero, any lam
+    >= lambda_max (the largest float64 score at zero) returns the exact
+    zero matrix without a FISTA iteration.
     """
     if lam < 0:
         raise NegativeLambdaError(f"lambda = {lam}")
@@ -243,20 +430,15 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
     _check_shapes(W, data)
     ws = _nonzero_rows(W)
-
-    G = np.empty((k, n_tasks), order="F")  # task-major: each X_l^T r_l is one column
+    screen = _Screen.of(data)
     while True:
         sub = [d.columns(ws) for d in data]  # float64
         if len(ws):
             W[ws] = _fista(sub, lam, opts, W[ws])
-        _grad(_products(W[ws], sub), data, G)
-        score = _scores(G, opts.mode)
-        score[ws] = 0.0
-        violators = (score > lam).nonzero()[0]
-        if not len(violators):
+        P = _products(W[ws], sub)
+        grow, _ = screen.violators(data, P, ws, opts.mode, lam, max(20, len(ws)))
+        if not len(grow):
             return W
-        order = np.argsort(-score[violators], kind="stable")
-        grow = violators[order[: max(20, len(ws))]]
         ws = np.union1d(ws, grow)
 
 

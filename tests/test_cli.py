@@ -335,6 +335,21 @@ class TestErrorContract:
             capsys, "InvalidSpec",
         )
 
+    @pytest.mark.parametrize("setting", ["standardize = true", "age_range = 30:40"])
+    @pytest.mark.parametrize("command", ["select", "train"])
+    def test_evaluate_only_setting_in_config(self, tmp_path, capsys, command, setting):
+        # select and train would ignore these keys, so they refuse them
+        man, feat = make_feature_corpus(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n", encoding="utf-8")
+        out = tmp_path / "out.txt"
+        self.run_failing(
+            [command, "--manifest", man, "--features", feat, "--out", str(out),
+             "--budget", "5", "--config", str(cfg)],
+            capsys, "InvalidSpec",
+        )
+        assert not out.exists()
+
     def test_two_radii_in_config(self, tmp_path, capsys):
         man = make_image_corpus(tmp_path, n=1)
         cfg = tmp_path / "run.cfg"

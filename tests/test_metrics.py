@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -111,3 +113,13 @@ def test_report_csv_format(tmp_path):
     assert [ln.split(",")[0] for ln in lines[2:5]] == ["cs", "cs", "cs"]
     assert lines[5].split(",")[:2] == ["fold", "p1"]
     assert lines[6].split(",")[:2] == ["fold", "p2"]
+
+
+def test_report_quotes_ids_with_commas():
+    ids = ["p,1", 'q"2', "r3"]
+    rep = metrics.aggregate([(p, np.array([4.0]), np.array([5.0])) for p in ids], cs_max=1)
+    text = metrics.format_report(rep)
+    folds = [row for row in csv.reader(io.StringIO(text)) if row[0] == "fold"]
+    assert [len(row) for row in folds] == [4, 4, 4]
+    assert [row[1] for row in folds] == ids
+    assert text.splitlines()[-1] == "fold,r3,1,1.0"

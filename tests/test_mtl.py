@@ -126,22 +126,17 @@ class TestLambdaMax:
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
     def test_float32_is_solve_first_pass_bound(self, monkeypatch, mode):
-        # lambda_max is the largest zero-row score of solve's first pass,
-        # bit for bit: at lambda_max solve returns zero without FISTA, and
-        # one step below it FISTA runs
+        # lambda_max is the largest float64 score of solve's first pass from
+        # zero, over all K rows, bit for bit: at lambda_max solve returns
+        # zero without FISTA, and one step below it FISTA runs
         opts = SolverOptions(mode=mode)
-        grads, fista_calls = [], []
-        grad, fista = mtl._grad, mtl._fista
-
-        def grad_spy(P, data, out):
-            grads.append(grad(P, data, out).copy())
-            return out
+        fista_calls = []
+        fista = mtl._fista
 
         def fista_spy(*args):
             fista_calls.append(1)
             return fista(*args)
 
-        monkeypatch.setattr(mtl, "_grad", grad_spy)
         monkeypatch.setattr(mtl, "_fista", fista_spy)
         for seed in range(12):
             rng = np.random.default_rng(100 + seed)
@@ -151,16 +146,25 @@ class TestLambdaMax:
                             30.0 + 10.0 * rng.standard_normal(n))
                 for l in range(2)
             ]
+            G = dense_scores_at_zero(data)
+            score = np.linalg.norm(G, axis=1) if mode == mtl.MODE_MTL else np.abs(G).max(1)
             lam = mtl.lambda_max(data, mode)
-            grads.clear()
+            assert lam == score.max()
             W = mtl.solve(data, lam, opts)
             assert W.tobytes() == np.zeros((k, 2)).tobytes() and fista_calls == []
-            G, = grads  # one pass, one full-width gradient
-            score = np.linalg.norm(G, axis=1) if mode == mtl.MODE_MTL else np.abs(G)
-            assert lam == score.max()
             mtl.solve(data, np.nextafter(lam, 0.0), opts)
             assert fista_calls
             fista_calls.clear()
+
+
+def dense_scores_at_zero(data):
+    # every row's float64 gradient entry at W = 0, (2 / N_l) sum_i x_ik (0 - y_i),
+    # each column summed on its own as one contiguous float64 row
+    return np.column_stack([
+        (2.0 / d.n) * (np.ascontiguousarray(d.X.T, dtype=np.float64)
+                       * (np.zeros(d.n) - d.y)).sum(1)
+        for d in data
+    ])
 
 
 class TestSolve:
@@ -417,6 +421,185 @@ class TestWorkingSet:
             assert np.all(mtl.solve(data, lam, opts) == 0)
             assert np.all(mtl.solve(data, 2 * lam, opts) == 0)
         assert widths == []
+
+
+class TestScreen:
+    """solve's KKT check scores rows in float64 against bounds from each
+    task's last full-width pass (mtl._Screen)."""
+
+    @staticmethod
+    def instance(seed, dtype, K=400, N=(60, 45)):
+        rng = np.random.default_rng(seed)
+        w = np.zeros(K)
+        w[rng.choice(K, 10, replace=False)] = rng.uniform(1, 2, 10)
+        data = []
+        for l, n in enumerate(N):
+            X = rng.standard_normal((n, K)).astype(dtype)
+            data.append(TaskDataset(f"t{l}", X, X @ w + 0.5 * rng.standard_normal(n)))
+        return data
+
+    @staticmethod
+    def fresh(data):
+        return [TaskDataset(d.task_id, d.X, d.y) for d in data]
+
+    @staticmethod
+    def products(data, W):
+        ws = mtl._nonzero_rows(W)
+        return ws, mtl._products(W[ws], [d.columns(ws) for d in data])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_score_does_not_depend_on_the_rows_scored_with_it(self, dtype):
+        data = self.instance(40, dtype)
+        rng = np.random.default_rng(41)
+        P = [rng.standard_normal(d.n) for d in data]
+        for mode in (mtl.MODE_MTL, mtl.MODE_STL):
+            every = mtl._exact_scores(P, data, np.arange(400), mode)
+            for m in (1, 2, 3, 17, 150, 400):
+                rows = np.sort(rng.choice(400, m, replace=False))
+                got = mtl._exact_scores(P, data, rows, mode)
+                assert got.tobytes() == every[rows].tobytes()
+
+    @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bound_keeps_every_violator(self, dtype, mode):
+        # the references come from other W and lambda (lambda_max at zero,
+        # then a solve), or from the products themselves (the tightest
+        # bound); every row outside ws whose dense float64 score exceeds lam
+        # must be a candidate, and so must the n highest of them
+        opts = SolverOptions(mode=mode)
+        for seed in range(4):
+            data = self.instance(50 + seed, dtype)
+            lam_max = mtl.lambda_max(self.fresh(data), mode)
+            W = mtl.solve(self.fresh(data), 0.2 * lam_max, opts)
+            ws, P = self.products(data, W)
+            score = mtl._exact_scores(P, data, np.arange(400), mode)
+            score[ws] = -np.inf
+            top = np.argsort(-score, kind="stable")
+            for reference in ("zero", "solve", "here"):
+                if reference == "solve":
+                    mtl.solve(data, 0.5 * lam_max, opts)
+                screen = mtl._Screen.of(data)
+                if reference == "zero":
+                    screen.refresh(data, [np.zeros(d.n) for d in data])
+                elif reference == "here":
+                    screen.refresh(data, P)
+                for j in (*top[:12], top[30], top[100]):
+                    for lam in (score[j], np.nextafter(score[j], 0.0)):
+                        over = np.flatnonzero(score > lam)
+                        rows = screen._candidates(P, ws, mode, lam, 400, np.inf)
+                        assert np.isin(over, rows).all()
+                        for n in (1, 3):
+                            rows = screen._candidates(P, ws, mode, lam, n, np.inf)
+                            assert np.isin(top[:min(n, len(over))], rows).all()
+
+    @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bound_holds_when_products_move_along_a_column(self, dtype, mode):
+        # p_l = alpha_l x_lk moves row k's gradient from its reference g at
+        # W = 0 to (1 + beta) g: Cauchy-Schwarz is tight, and the score rises
+        # by exactly the bound
+        data = self.instance(90, dtype)
+        screen = mtl._Screen.of(data)
+        screen.refresh(data, [np.zeros(d.n) for d in data])
+        ws = np.zeros(0, dtype=np.intp)
+        g = dense_scores_at_zero(data)
+        for k in np.random.default_rng(91).choice(400, 6, replace=False):
+            x = [d.X[:, k].astype(np.float64) for d in data]
+            P = [0.5 * g[k, l] * d.n / (2.0 * (x[l] @ x[l])) * x[l]
+                 for l, d in enumerate(data)]
+            score = mtl._exact_scores(P, data, np.arange(400), mode)
+            rows = screen._candidates(P, ws, mode, np.nextafter(score[k], 0.0), 400, np.inf)
+            assert k in rows
+
+    @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
+    def test_row_that_overtakes_the_top_stays_a_candidate(self, mode):
+        # one task, unit columns, x_j orthogonal to x_k: P moves row k's
+        # gradient up by m and row j's (the top reference score) down by m,
+        # so k overtakes j; every bound t is at most T = sqrt(2) m, which is
+        # less than the gap, so k's reference score is more than T below j's
+        rng = np.random.default_rng(95)
+        X = rng.standard_normal((200, 60))
+        y = rng.standard_normal(200)
+        g = -(2.0 / 200) * (X.T @ y)
+        j, k = np.argsort(-np.abs(g))[:2]
+        X[:, k] -= (X[:, k] @ X[:, j]) / (X[:, j] @ X[:, j]) * X[:, j]
+        X /= np.linalg.norm(X, axis=0)
+        data = [TaskDataset("t", X, y)]
+        g = dense_scores_at_zero(data)[:, 0]
+        j, k = np.argsort(-np.abs(g))[:2]
+        m = 0.6 * (abs(g[j]) - abs(g[k]))
+        P = [100.0 * m * (np.sign(g[k]) * X[:, k] - np.sign(g[j]) * X[:, j])]  # (2 / N) alpha = m
+        score = mtl._exact_scores(P, data, np.arange(60), mode)
+        assert score.argmax() == k
+        screen = mtl._Screen.of(data)
+        screen.refresh(data, [np.zeros(200)])
+        assert k in screen._candidates(P, np.zeros(0, dtype=np.intp), mode, 0.0, 1, np.inf)
+
+    @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_solve_ignores_the_references_it_finds(self, dtype, mode):
+        # the same solve on fresh tasks and on tasks that already ran
+        # lambda_max and solves at other lambdas gives the same bytes
+        opts = SolverOptions(mode=mode)
+        data = self.instance(60, dtype, K=1500)
+        lam_max = mtl.lambda_max(data, mode)
+        W_far = mtl.solve(data, 0.05 * lam_max, opts)
+        for frac, w0 in ((0.3, None), (0.12, None), (0.12, W_far)):
+            mtl.solve(data, 0.7 * lam_max, opts)
+            used = mtl.solve(data, frac * lam_max, opts, w0=w0)
+            new = mtl.solve(self.fresh(data), frac * lam_max, opts, w0=w0)
+            assert used.tobytes() == new.tobytes()
+
+    def test_restart_at_optimum_takes_no_full_width_product(self, monkeypatch):
+        data = self.instance(70, np.float32, K=3000)
+        lam = 0.2 * mtl.lambda_max(data)
+        W = mtl.solve(data, lam)
+        widths = []
+        grad = mtl._grad
+
+        def spy(P, data, out):
+            widths.append(data[0].k)
+            return grad(P, data, out)
+
+        monkeypatch.setattr(mtl, "_grad", spy)
+        mtl.solve(data, lam, w0=W)
+        assert widths and 3000 not in widths  # FISTA's products, no KKT product
+
+    @pytest.mark.parametrize("x_scale, y_scale, fracs", [
+        (1.0, 1e38, (1.0, 0.5, 0.2)),  # the float32 product overflows
+        (1e19, 1.0, (1.0, 2.0)),  # so do the float32 column norms
+    ])
+    def test_overflowing_float32_reference_bounds_nothing(self, x_scale, y_scale, fracs):
+        # the rows are still decided by their float64 scores
+        rng = np.random.default_rng(80)
+        data = []
+        for l in range(2):
+            X = (x_scale * rng.standard_normal((30, 200))).astype(np.float32)
+            data.append(TaskDataset(f"t{l}", X, y_scale * rng.standard_normal(30)))
+        lam = mtl.lambda_max(data)
+        assert lam == np.linalg.norm(dense_scores_at_zero(data), axis=1).max()
+        for frac in fracs:
+            W = mtl.solve(data, frac * lam)
+            assert W.tobytes() == mtl.solve(self.fresh(data), frac * lam).tobytes()
+            assert (frac < 1) == W.any()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_task_rejects_non_finite_entries_only(dtype):
+    # the scan reads the column sums of squares first: a non-finite entry is
+    # rejected wherever it sits, and finite entries whose float32 sum
+    # overflows are accepted
+    X = np.ones((6, 5), dtype=dtype)
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in ((0, 0), (5, 4), (3, 2)):
+            Xb = X.copy()
+            Xb[at] = bad
+            with pytest.raises(NonFiniteError):
+                TaskDataset("t", Xb, np.zeros(6))
+        with pytest.raises(NonFiniteError):
+            TaskDataset("t", X, [0.0, 0.0, bad, 0.0, 0.0, 0.0])
+    big = TaskDataset("t", np.full((6, 5), 1e20, dtype=np.float32), np.zeros(6))
+    assert np.isinf(big._norms2).all()
 
 
 class TestCdOracle:
