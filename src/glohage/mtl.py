@@ -19,14 +19,16 @@ and support all take one row norm, ``_row_norms``, so they read the same
 bits.
 
 The KKT check decides every row in float64 without a full-width product
-on most passes (``_Screen``). Each task keeps its last full-width
-gradient, taken in X's dtype, as a reference; a row's score at new
-products differs from the reference by at most a bound from its column
-norm and how far the products moved, so only the rows whose bound
-reaches lambda are scored, each in float64 from its own column. When
-more columns would be gathered than the product reads, the product is
-taken again and becomes the new reference. The decisions, and so
-``solve``'s result, do not depend on which reference a task carries.
+on most passes (``_Screen``). The tasks keep the row scores of their
+last full-width gradient, taken in X's dtype, as a reference; in either
+mode a row's score at new products lies within its reference score ±
+||t_k||, a bound from its column norms and how far the products moved,
+so only the rows whose interval reaches lambda, and that can still rank
+among the rows that join, are scored, each in float64 from its own
+column. When more columns would be gathered than the product reads, the
+product is taken again and becomes the new reference. The decisions,
+and so ``solve``'s result, do not depend on which reference a task
+carries.
 ``lambda_max`` is the largest float64 score at W = 0 from the same
 scoring, so at lambda_max ``solve`` from zero finds no violator.
 
@@ -253,80 +255,72 @@ class _Screen:
     """The KKT check of ``solve``: which rows outside the working set break
     their zero-row condition at products P, decided in float64.
 
-    The reference is the last full-width pass over the tasks: products
-    p̂_l, the gradient G computed in X's dtype and ρ̂_l = ||p̂_l - y_l||.
-    A task's gradient depends only on its own w_l, so a reference from any
-    earlier pass, at any lambda, stays valid. At products p_l every row's
-    float64 gradient entry is within
+    A screen serves one mode and one list of tasks. Its reference is the
+    last full-width pass over them: products p̂_l, ρ̂_l = ||p̂_l - y_l|| and
+    each row's score s_k of the gradient computed in X's dtype. A task's
+    gradient depends only on its own w_l, so a reference from any earlier
+    pass, at any lambda, stays valid. At products p_l every row's float64
+    gradient entry is within
 
         t_kl = (2 / N_l) c_kl (δ_l + γ_l ρ̂_l + γ64_l (ρ̂_l + δ_l))
 
-    of G[k, l], with c_kl the column norm, δ_l = ||p_l - p̂_l||
+    of the reference's, with c_kl the column norm, δ_l = ||p_l - p̂_l||
     (Cauchy-Schwarz) and γ the rounding bounds of the reference's product
-    and of the float64 score (``_gamma``). So a row's score lies within
-    [lo, hi]: ||G[k]|| ± ||t_k|| in mtl mode, max_l (|G[k, l]| ± t_kl) in
-    stl mode, widened by a relative slack for the float64 rounding of the
-    bound and the score. Rows whose hi reaches the threshold are scored by
-    ``_exact_scores``; of the rest none can violate, nor outrank the n rows
-    with the highest lo. Once the columns scored against the reference
-    would gather more bytes than one full-width product reads, the product
-    is taken at P instead and becomes the reference. A non-finite entry of
-    G bounds nothing (NaN).
+    and of the float64 score (``_gamma``). So in either mode a row's score
+    lies within [lo, hi] = s_k ± ||t_k||: a row norm moves by at most
+    ||t_k||, and max_l |G[k, l]| by at most max_l t_kl <= ||t_k||. Both
+    ends are widened by a relative slack for the float64 rounding of the
+    bound and the score. Rows whose hi reaches lambda are scored by
+    ``_exact_scores``, unless n rows have a lo above lambda: then only rows
+    whose hi reaches the n-th highest lo can be among the n highest scores.
+    Once the columns scored against the reference would gather more bytes
+    than one full-width product reads, the product is taken at P instead
+    and becomes the reference. A non-finite reference score bounds nothing
+    (NaN).
 
-    A screen serves one list of tasks, and each task keeps the screen and
-    its position in it (``TaskDataset._ref``), so every solve on the same
-    list starts from the last full-width pass.
+    Each task keeps the screen and its position in it (``TaskDataset._ref``),
+    so every solve on the same list in the same mode starts from the last
+    full-width pass; a solve in the other mode makes a new screen.
     """
 
-    def __init__(self, data):
-        self.n = len(data)
+    def __init__(self, data, mode):
+        self.n, self.mode = len(data), mode
         self.c2 = np.column_stack([d._norms2 for d in data])
         self.gammas = [(_gamma(d.n, d.X.dtype), _gamma(d.n, np.float64)) for d in data]
         self.slack = 4 * (len(data) + 4) * np.finfo(np.float64).eps
         # gathering a column of a row-major X reads one cache line per row
         self.max_gather = sum(d.X.nbytes for d in data) // (CACHE_LINE * sum(d.n for d in data))
-        self.P = self.G = self.rho = None  # the reference, from the first pass on
-        self.bounded = True  # every entry of G is finite
+        self.P = self.score = self.rho = None  # the reference, from the first pass on
         self.gathered = 0  # columns scored against it
-        self._c = {}  # mode -> (c or c^2 per row and task, its column maxima)
-        self._score = {}  # mode -> score of G
 
     @classmethod
-    def of(cls, data):
+    def of(cls, data, mode):
         """The screen of the last full-width pass over exactly ``data``, in
-        this order, or a new one."""
+        this order and ``mode``, or a new one."""
         screen = data[0]._ref[0] if data[0]._ref else None
-        if screen is None or screen.n != len(data) or any(
+        if screen is None or screen.mode != mode or screen.n != len(data) or any(
             d._ref != (screen, l) for l, d in enumerate(data)
         ):
-            screen = cls(data)
+            screen = cls(data, mode)
         return screen
 
     def refresh(self, data, P):
-        """Take the full-width gradient at P in X's dtype as the reference."""
+        """Take the row scores of the full-width gradient at P, computed in
+        X's dtype, as the reference."""
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow bounds nothing
             G = _grad(P, data, np.empty((data[0].k, len(data)), order="F"))
-        self.bounded = bool(np.isfinite(G).all())
-        if not self.bounded:
-            G[~np.isfinite(G)] = np.nan
-        self.P, self.G, self._score = P, G, {}
+            score = _scores(G, self.mode)
+        score[~np.isfinite(score)] = np.nan
+        self.P, self.score = P, score
         self.rho = [float(np.linalg.norm(p - d.y)) for p, d in zip(P, data)]
         self.gathered = 0
         for l, d in enumerate(data):
             d._ref = (self, l)
 
-    def _bound_parts(self, mode):
-        if mode not in self._c:
-            c = self.c2 if mode == MODE_MTL else np.sqrt(self.c2)
-            self._c[mode] = c, np.array([c[:, l].max() for l in range(self.n)])
-        if mode not in self._score:
-            self._score[mode] = _scores(self.G, mode)
-        return self._score[mode], *self._c[mode]
-
-    def _candidates(self, P, ws, mode, lam, n, room):
+    def _candidates(self, P, ws, lam, n, room):
         """Rows outside ``ws`` that may score above ``lam`` at P and may be
         among the n highest scores, or None when P is off the reference
-        and more than ``room`` rows are near enough to need a look."""
+        and there are more than ``room`` of them."""
         a = np.empty(self.n)  # t_kl = c_kl a_l
         moved = False
         for l, (p, p_ref, rho, (g, g64)) in enumerate(zip(P, self.P, self.rho, self.gammas)):
@@ -334,54 +328,34 @@ class _Screen:
             delta = math.sqrt(float(diff @ diff))
             moved = moved or delta > 0
             a[l] = (2.0 / len(p)) * (delta + g * rho + g64 * (rho + delta))
-        score, c, c_max = self._bound_parts(mode)
-        score = score.copy()
-        score[ws] = -np.inf
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN marks "no bound"
+            t = np.sqrt(self.c2 @ (a * a))
+            lo, hi = self.score - t, self.score + t
+        lo[ws] = hi[ws] = -np.inf
         # a score lies in [lo (1 - s), hi (1 + s)]; thresholds carry the slack
         low, high = 1.0 - 2.0 * self.slack, 1.0 + 2.0 * self.slack
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN marks "no bound"
-            # every t_k is at most T, so a row scoring below lam - T cannot
-            # violate. With q the n-th highest score, a row below q - 2T
-            # cannot either if q - T <= lam; otherwise the n rows scoring q
-            # or more all violate, and it cannot outrank them.
-            if mode == MODE_MTL:
-                T = math.sqrt(c_max @ (a * a))
-            else:
-                T = float((c_max * a).max())
-            if math.isnan(T):
-                T = math.inf
-            near = np.flatnonzero(~(score <= lam * low - T))
-            if moved and len(near) > room:
-                return None
-            if len(near) > n and self.bounded:
-                q = np.partition(score[near], len(near) - n)[len(near) - n]
-                near = near[~(score[near] < (q - T) * (low - self.slack) - T)]
-            if mode == MODE_MTL:
-                t = np.sqrt(c[near] @ (a * a))
-                hi, lo = score[near] + t, score[near] - t
-            else:
-                g, t = np.abs(self.G[near]), c[near] * a
-                hi, lo = (g + t).max(1), (g - t).max(1)
         sure = lo[lo > lam * high]
         if len(sure) >= n:  # rows below the n-th highest lo cannot outrank these n
             tau = np.partition(sure, len(sure) - n)[len(sure) - n]
-            return near[~(hi < tau * low)]
-        return near[~(hi <= lam * low)]
+            rows = np.flatnonzero(~(hi < tau * low))
+        else:
+            rows = np.flatnonzero(~(hi <= lam * low))
+        return None if moved and len(rows) > room else rows
 
-    def violators(self, data, P, ws, mode, lam, n):
+    def violators(self, data, P, ws, lam, n):
         """The n rows outside ``ws`` with the highest float64 scores above
         ``lam`` at products P, highest first (ties to the lower row), and
         their scores."""
-        if self.G is None:
+        if self.score is None:
             self.refresh(data, P)
-        rows = self._candidates(P, ws, mode, lam, n, self.max_gather - self.gathered)
+        rows = self._candidates(P, ws, lam, n, self.max_gather - self.gathered)
         if rows is None:
             self.refresh(data, P)  # P is the reference now, so rows come back
-            rows = self._candidates(P, ws, mode, lam, n, self.max_gather)
+            rows = self._candidates(P, ws, lam, n, self.max_gather)
         if not len(rows):
             return rows, np.zeros(0)
         self.gathered += len(rows)
-        score = _exact_scores(P, data, rows, mode)
+        score = _exact_scores(P, data, rows, self.mode)
         over = score > lam
         rows, score = rows[over], score[over]
         order = np.argsort(-score, kind="stable")[:n]
@@ -397,7 +371,7 @@ def lambda_max(data, mode=MODE_MTL):
     reference, its full-width pass at W = 0 becomes the first one.
     """
     P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
-    _, score = _Screen.of(data).violators(data, P, np.zeros(0, dtype=np.intp), mode, 0.0, 1)
+    _, score = _Screen.of(data, mode).violators(data, P, np.zeros(0, dtype=np.intp), 0.0, 1)
     return float(score[0]) if len(score) else 0.0
 
 
@@ -430,13 +404,13 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
     _check_shapes(W, data)
     ws = _nonzero_rows(W)
-    screen = _Screen.of(data)
+    screen = _Screen.of(data, opts.mode)
     while True:
         sub = [d.columns(ws) for d in data]  # float64
         if len(ws):
             W[ws] = _fista(sub, lam, opts, W[ws])
         P = _products(W[ws], sub)
-        grow, _ = screen.violators(data, P, ws, opts.mode, lam, max(20, len(ws)))
+        grow, _ = screen.violators(data, P, ws, lam, max(20, len(ws)))
         if not len(grow):
             return W
         ws = np.union1d(ws, grow)
@@ -557,8 +531,9 @@ def write_selection(path, result):
 def read_selection(path, n_bins, n_tasks):
     """Inverse of write_selection; needs the full (K, L) shape to rebuild W.
 
-    Bins must be strictly ascending and inside [0, n_bins), each with
-    exactly n_tasks finite weights; anything else raises a GlohError.
+    lambda and epsilon must be finite and nonnegative, and bins strictly
+    ascending and inside [0, n_bins), each with exactly n_tasks finite
+    weights; anything else raises a GlohError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -601,4 +576,8 @@ def read_selection(path, n_bins, n_tasks):
         raise MalformedRowError(f"{path}:{lineno}: unparsable value") from None
     if not (np.isfinite(lam) and np.isfinite(eps) and np.all(np.isfinite(W))):
         raise NonFiniteError(f"{path}: non-finite lambda, epsilon or weight")
+    if lam < 0:
+        raise NegativeLambdaError(f"{path}:2: lambda = {lam}")
+    if eps < 0:
+        raise MalformedRowError(f"{path}:3: negative epsilon {eps}")
     return SelectionResult(lam, W, np.array(selected, dtype=int), eps)

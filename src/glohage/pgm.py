@@ -92,6 +92,8 @@ def load_pgm(path):
             )
         except ValueError:
             raise TruncatedPixelDataError("non-numeric pixel sample")
+        except OverflowError:  # beyond int64, so beyond maxval
+            raise TruncatedPixelDataError("pixel sample outside [0, maxval]")
         if pixels.min() < 0 or pixels.max() > maxval:
             raise TruncatedPixelDataError("pixel sample outside [0, maxval]")
         pixels = pixels.astype(np.uint8)

@@ -185,10 +185,10 @@ def write_model(path, model):
 def read_model(path):
     """Inverse of write_model.
 
-    Every task appears once, with one finite alpha and intercept, one finite
-    ``clamp=lo hi`` (lo <= hi, the same for every task) and one ``bin
-    weight`` line per selected bin, strictly ascending and the same bins for
-    every task; anything else raises a GlohError.
+    Every task appears once, with one finite nonnegative alpha, one finite
+    intercept, one finite ``clamp=lo hi`` (lo <= hi, the same for every
+    task) and one ``bin weight`` line per selected bin, strictly ascending
+    and the same bins for every task; anything else raises a GlohError.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -218,6 +218,8 @@ def read_model(path):
         try:
             if ln.startswith("alpha="):
                 model.alphas[task] = float(value)
+                if model.alphas[task] < 0:
+                    raise MalformedRowError(f"{path}:{lineno}: negative alpha")
             elif ln.startswith("intercept="):
                 model.intercepts[task] = float(value)
             elif ln.startswith("clamp="):

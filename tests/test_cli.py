@@ -381,6 +381,18 @@ class TestErrorContract:
             capsys, "InvalidSpec",
         )
 
+    def test_p2_sample_beyond_int64(self, tmp_path, capsys):
+        samples = ["7"] * (68 * 62)
+        samples[100] = "100000000000000000000000"
+        (tmp_path / "a.pgm").write_text("P2\n62 68\n255\n" + " ".join(samples) + "\n",
+                                        encoding="ascii")
+        man = tmp_path / "m.csv"
+        man.write_text("path,person_id,age,gender\na.pgm,p1,5,m\n", encoding="utf-8")
+        self.run_failing(
+            ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")],
+            capsys, "TruncatedPixelData",
+        )
+
     def test_selection_bin_out_of_range(self, tmp_path, capsys):
         man, feat = make_feature_corpus(tmp_path)  # K = 30
         sel = tmp_path / "sel.txt"

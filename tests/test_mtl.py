@@ -478,7 +478,7 @@ class TestScreen:
             for reference in ("zero", "solve", "here"):
                 if reference == "solve":
                     mtl.solve(data, 0.5 * lam_max, opts)
-                screen = mtl._Screen.of(data)
+                screen = mtl._Screen.of(data, mode)
                 if reference == "zero":
                     screen.refresh(data, [np.zeros(d.n) for d in data])
                 elif reference == "here":
@@ -486,10 +486,10 @@ class TestScreen:
                 for j in (*top[:12], top[30], top[100]):
                     for lam in (score[j], np.nextafter(score[j], 0.0)):
                         over = np.flatnonzero(score > lam)
-                        rows = screen._candidates(P, ws, mode, lam, 400, np.inf)
+                        rows = screen._candidates(P, ws, lam, 400, np.inf)
                         assert np.isin(over, rows).all()
                         for n in (1, 3):
-                            rows = screen._candidates(P, ws, mode, lam, n, np.inf)
+                            rows = screen._candidates(P, ws, lam, n, np.inf)
                             assert np.isin(top[:min(n, len(over))], rows).all()
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
@@ -499,7 +499,7 @@ class TestScreen:
         # W = 0 to (1 + beta) g: Cauchy-Schwarz is tight, and the score rises
         # by exactly the bound
         data = self.instance(90, dtype)
-        screen = mtl._Screen.of(data)
+        screen = mtl._Screen.of(data, mode)
         screen.refresh(data, [np.zeros(d.n) for d in data])
         ws = np.zeros(0, dtype=np.intp)
         g = dense_scores_at_zero(data)
@@ -508,7 +508,7 @@ class TestScreen:
             P = [0.5 * g[k, l] * d.n / (2.0 * (x[l] @ x[l])) * x[l]
                  for l, d in enumerate(data)]
             score = mtl._exact_scores(P, data, np.arange(400), mode)
-            rows = screen._candidates(P, ws, mode, np.nextafter(score[k], 0.0), 400, np.inf)
+            rows = screen._candidates(P, ws, np.nextafter(score[k], 0.0), 400, np.inf)
             assert k in rows
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
@@ -531,21 +531,27 @@ class TestScreen:
         P = [100.0 * m * (np.sign(g[k]) * X[:, k] - np.sign(g[j]) * X[:, j])]  # (2 / N) alpha = m
         score = mtl._exact_scores(P, data, np.arange(60), mode)
         assert score.argmax() == k
-        screen = mtl._Screen.of(data)
+        screen = mtl._Screen.of(data, mode)
         screen.refresh(data, [np.zeros(200)])
-        assert k in screen._candidates(P, np.zeros(0, dtype=np.intp), mode, 0.0, 1, np.inf)
+        assert k in screen._candidates(P, np.zeros(0, dtype=np.intp), 0.0, 1, np.inf)
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_solve_ignores_the_references_it_finds(self, dtype, mode):
         # the same solve on fresh tasks and on tasks that already ran
-        # lambda_max and solves at other lambdas gives the same bytes
+        # lambda_max and solves at other lambdas, in this mode or the
+        # other, gives the same bytes
         opts = SolverOptions(mode=mode)
+        other = SolverOptions(mode=mtl.MODE_STL if mode == mtl.MODE_MTL else mtl.MODE_MTL)
         data = self.instance(60, dtype, K=1500)
         lam_max = mtl.lambda_max(data, mode)
         W_far = mtl.solve(data, 0.05 * lam_max, opts)
-        for frac, w0 in ((0.3, None), (0.12, None), (0.12, W_far)):
-            mtl.solve(data, 0.7 * lam_max, opts)
+        for frac, w0, first in ((0.3, None, opts), (0.12, None, opts), (0.12, W_far, opts),
+                                (0.12, None, other)):
+            if first is other:  # tasks whose first screen had the other mode
+                data = self.fresh(data)
+                mtl.lambda_max(data, other.mode)
+            mtl.solve(data, 0.7 * lam_max, first)
             used = mtl.solve(data, frac * lam_max, opts, w0=w0)
             new = mtl.solve(self.fresh(data), frac * lam_max, opts, w0=w0)
             assert used.tobytes() == new.tobytes()
@@ -739,6 +745,22 @@ HEADER = "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n"
 def test_selection_reader_rejects(tmp_path, body, error):
     path = tmp_path / "sel.txt"
     path.write_text(HEADER + body, encoding="utf-8")
+    with pytest.raises(error):
+        mtl.read_selection(str(path), 30, 2)
+
+
+@pytest.mark.parametrize(
+    "header, error",
+    [
+        ("lambda=nan\nepsilon=1e-08\n", NonFiniteError),
+        ("lambda=0.5\nepsilon=inf\n", NonFiniteError),
+        ("lambda=-1.0\nepsilon=1e-08\n", NegativeLambdaError),
+        ("lambda=0.5\nepsilon=-5\n", MalformedRowError),
+    ],
+)
+def test_selection_reader_rejects_header_values(tmp_path, header, error):
+    path = tmp_path / "sel.txt"
+    path.write_text("GLOHSEL 1\n" + header + "3 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(error):
         mtl.read_selection(str(path), 30, 2)
 

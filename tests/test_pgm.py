@@ -61,7 +61,9 @@ def test_maxval_over_255(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "magic, body", [(b"P5", bytes([200, 7])), (b"P2", b"200 7")], ids=["P5", "P2"]
+    "magic, body",
+    [(b"P5", bytes([200, 7])), (b"P2", b"200 7"), (b"P2", b"7 100000000000000000000000")],
+    ids=["P5", "P2", "P2-beyond-int64"],
 )
 def test_sample_above_maxval(tmp_path, magic, body):
     path = write(tmp_path, "a.pgm", magic + b"\n2 1\n100\n" + body)

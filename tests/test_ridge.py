@@ -328,6 +328,7 @@ def test_model_file_roundtrip(tmp_path):
         ),
         ("task=m\nalpha=1.0\nintercept=2.0\nclamp=69.0 0.0\n3 1.0\n", MalformedRowError),
         ("task=m\nalpha=nan\nintercept=2.0\nclamp=0.0 69.0\n3 1.0\n", NonFiniteError),
+        ("task=m\nalpha=-3\nintercept=2.0\nclamp=0.0 69.0\n3 1.0\n", MalformedRowError),
         ("task=m\nalpha=1.0\nintercept=nan\nclamp=0.0 69.0\n3 1.0\n", NonFiniteError),
         ("task=m\nalpha=1.0\nintercept=2.0\nclamp=-inf 69.0\n3 1.0\n", NonFiniteError),
         ("task=m\nalpha=1.0\nintercept=2.0\nclamp=0.0 nan\n3 1.0\n", NonFiniteError),
