@@ -2,8 +2,8 @@
 
 Subcommands: extract, select, train, predict, evaluate, synth. A flat
 ``key = value`` config file sets defaults; individual flags override it.
-On failure the process exits nonzero with a single line
-``ERROR <code>: <detail>`` on stderr.
+On any failure, a usage error too, the process exits nonzero with one
+line ``ERROR <code>: <detail>`` on stderr.
 """
 
 import argparse
@@ -210,8 +210,13 @@ def _add_common(p, *, mode=False, budget=False, evaluation=False):
         p.add_argument("--standardize", action="store_const", const="true")
 
 
+class _Parser(argparse.ArgumentParser):  # subparsers share the class
+    def error(self, message):  # a usage error is main's one ERROR line too
+        raise InvalidSpecError(message)
+
+
 def make_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="glohage",
         description="GLOH + multi-task bin selection + ridge age estimation",
     )
@@ -267,8 +272,8 @@ def make_parser():
 
 
 def main(argv=None):
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         args.func(args)
     except GlohError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)

@@ -27,6 +27,7 @@ from .mtl import TaskDataset
 MALE = "male"
 FEMALE = "female"
 UNKNOWN = "unknown"
+MAX_AGE = 130  # ages lie in [0, MAX_AGE] years
 
 _GENDER_FROM_TOKEN = {"m": MALE, "f": FEMALE, "": UNKNOWN}
 _TOKEN_FROM_GENDER = {MALE: "m", FEMALE: "f", UNKNOWN: ""}
@@ -80,8 +81,8 @@ def parse_manifest(path):
             age = int(age_s)
         except ValueError:
             raise MalformedRowError(f"line {lineno}: non-integer age {age_s!r}")
-        if not (0 <= age <= 130):
-            raise MalformedRowError(f"line {lineno}: age {age} outside [0, 130]")
+        if not (0 <= age <= MAX_AGE):
+            raise MalformedRowError(f"line {lineno}: age {age} outside [0, {MAX_AGE}]")
         if gender_s.lower() not in _GENDER_FROM_TOKEN:
             raise MalformedRowError(f"line {lineno}: bad gender token {gender_s!r}")
         if path_ in seen:

@@ -19,23 +19,24 @@ and support all take one row norm, ``_row_norms``, so they read the same
 bits.
 
 The KKT check decides every row in float64 without a full-width product
-on most passes (``_Screen``). The tasks keep the row scores of their
-last full-width gradient, taken in X's dtype, as a reference; in either
-mode a row's score at new products lies within its reference score ±
-||t_k||, a bound from its column norms and how far the products moved,
-so only the rows whose interval reaches lambda, and that can still rank
-among the rows that join, are scored, each in float64 from its own
-column. When more columns would be gathered than the product reads, the
-product is taken again and becomes the new reference. The decisions,
-and so ``solve``'s result, do not depend on which reference a task
-carries.
+on most passes (``_Screen``). The lambda search's one screen keeps the
+row scores of the last full-width gradient, taken in X's dtype, as a
+reference; in either mode a row's score at new products lies within its
+reference score ± ||t_k||, a bound from its column norms and how far the
+products moved, so only the rows whose interval reaches lambda, and that
+can still rank among the rows that join, are scored, each in float64
+from its own column. When more columns would be gathered than the
+product reads, the product is taken again and becomes the new
+reference. The decisions, and so ``solve``'s result, do not depend on
+which reference the screen carries.
 ``lambda_max`` is the largest float64 score at W = 0 from the same
 scoring, so at lambda_max ``solve`` from zero finds no violator.
 
-FISTA carries the products X_l w_l of its iterates and forms every
-product over all the working set's columns. Because the loss is
-quadratic, the backtracking test compares sum_l ||X_l d_l||^2 / N_l with
-||d||^2 / (2 step) directly instead of differencing two rounded losses.
+FISTA carries the products X_l w_l of its iterates, forms every product
+over all the working set's columns and hands those of the iterate it
+returns to the KKT check. Because the loss is quadratic, the
+backtracking test compares sum_l ||X_l d_l||^2 / N_l with ||d||^2 /
+(2 step) directly instead of differencing two rounded losses.
 Loss, gradient, objective and solver share one product/residual path.
 
 ``fit_for_budget`` bisects on lambda until the bin budget is met and
@@ -45,6 +46,7 @@ working set.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,16 +67,18 @@ STEP_SHRINK = 0.5  # backtracking factor on the step
 SUPPORT_EPSILON = 1e-8  # row norm above which a bin counts as selected
 MAX_BISECT = 40  # most solves one lambda search makes
 CACHE_LINE = 64  # bytes read per element when gathering a column of a row-major X
+_Columns = namedtuple("_Columns", "X y")  # a task on float64 working-set columns
 
 
-@dataclass
+@dataclass(eq=False)
 class TaskDataset:
     """Design matrix and age labels for one task (one gender).
 
     The task also keeps what the solver's KKT screen reads (``_Screen``):
     upper bounds on its squared column norms, taken once in X's dtype and
-    rounded up by the error bound of that sum, and the screen of its last
-    full-width pass. X and y must not change once the task is made.
+    rounded up by the error bound of that sum; the lambda search owns the
+    screen itself. Tasks compare by identity; X and y must not change once
+    the task is made.
     """
 
     task_id: str
@@ -100,15 +104,6 @@ class TaskDataset:
             raise NonFiniteError(f"task {self.task_id}: non-finite entries")
         self._norms2 = np.multiply(c2, 1.0 + 2.0 * _gamma(self.n, self.X.dtype),
                                    dtype=np.float64)
-        self._ref = None  # (screen, position): the screen of the last full-width pass
-
-    def columns(self, cols):
-        """This task on a float64 copy of the listed columns of X, without
-        re-checking them."""
-        sub = object.__new__(TaskDataset)  # skips __post_init__'s scan
-        sub.task_id, sub.y = self.task_id, self.y
-        sub.X = self.X[:, cols].astype(np.float64, copy=False)
-        return sub
 
     @property
     def n(self):
@@ -278,13 +273,13 @@ class _Screen:
     and becomes the reference. A non-finite reference score bounds nothing
     (NaN).
 
-    Each task keeps the screen and its position in it (``TaskDataset._ref``),
-    so every solve on the same list in the same mode starts from the last
-    full-width pass; a solve in the other mode makes a new screen.
+    The lambda search owns its screen: ``fit_for_budget`` makes one and
+    passes it to ``lambda_max`` and every ``solve``, so each solve starts
+    from the last full-width pass of the search.
     """
 
     def __init__(self, data, mode):
-        self.n, self.mode = len(data), mode
+        self.data, self.mode = tuple(data), mode
         self.c2 = np.column_stack([d._norms2 for d in data])
         self.gammas = [(_gamma(d.n, d.X.dtype), _gamma(d.n, np.float64)) for d in data]
         self.slack = 4 * (len(data) + 4) * np.finfo(np.float64).eps
@@ -294,19 +289,16 @@ class _Screen:
         self.gathered = 0  # columns scored against it
 
     @classmethod
-    def of(cls, data, mode):
-        """The screen of the last full-width pass over exactly ``data``, in
-        this order and ``mode``, or a new one."""
-        screen = data[0]._ref[0] if data[0]._ref else None
-        if screen is None or screen.mode != mode or screen.n != len(data) or any(
-            d._ref != (screen, l) for l, d in enumerate(data)
-        ):
+    def serving(cls, screen, data, mode):
+        """``screen`` if made for these tasks, in this order, and ``mode``; else a new one."""
+        if screen is None or screen.mode != mode or screen.data != tuple(data):
             screen = cls(data, mode)
         return screen
 
-    def refresh(self, data, P):
+    def refresh(self, P):
         """Take the row scores of the full-width gradient at P, computed in
         X's dtype, as the reference."""
+        data = self.data
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow bounds nothing
             G = _grad(P, data, np.empty((data[0].k, len(data)), order="F"))
             score = _scores(G, self.mode)
@@ -314,14 +306,12 @@ class _Screen:
         self.P, self.score = P, score
         self.rho = [float(np.linalg.norm(p - d.y)) for p, d in zip(P, data)]
         self.gathered = 0
-        for l, d in enumerate(data):
-            d._ref = (self, l)
 
     def _candidates(self, P, ws, lam, n, room):
         """Rows outside ``ws`` that may score above ``lam`` at P and may be
         among the n highest scores, or None when P is off the reference
         and there are more than ``room`` of them."""
-        a = np.empty(self.n)  # t_kl = c_kl a_l
+        a = np.empty(len(self.data))  # t_kl = c_kl a_l
         moved = False
         for l, (p, p_ref, rho, (g, g64)) in enumerate(zip(P, self.P, self.rho, self.gammas)):
             diff = p - p_ref
@@ -342,40 +332,42 @@ class _Screen:
             rows = np.flatnonzero(~(hi <= lam * low))
         return None if moved and len(rows) > room else rows
 
-    def violators(self, data, P, ws, lam, n):
+    def violators(self, P, ws, lam, n):
         """The n rows outside ``ws`` with the highest float64 scores above
         ``lam`` at products P, highest first (ties to the lower row), and
         their scores."""
         if self.score is None:
-            self.refresh(data, P)
+            self.refresh(P)
         rows = self._candidates(P, ws, lam, n, self.max_gather - self.gathered)
         if rows is None:
-            self.refresh(data, P)  # P is the reference now, so rows come back
+            self.refresh(P)  # P is the reference now, so rows come back
             rows = self._candidates(P, ws, lam, n, self.max_gather)
         if not len(rows):
             return rows, np.zeros(0)
         self.gathered += len(rows)
-        score = _exact_scores(P, data, rows, self.mode)
+        score = _exact_scores(P, self.data, rows, self.mode)
         over = score > lam
         rows, score = rows[over], score[over]
         order = np.argsort(-score, kind="stable")[:n]
         return rows[order], score[order]
 
 
-def lambda_max(data, mode=MODE_MTL):
+def lambda_max(data, mode=MODE_MTL, *, screen=None):
     """Smallest lambda for which the all-zero W is optimal.
 
     This is the largest float64 KKT score at W = 0, scored as ``solve``
     scores its rows (``_Screen``), so ``solve`` from zero at any lam >=
-    lambda_max finds no violator and runs no FISTA. On tasks without a
-    reference, its full-width pass at W = 0 becomes the first one.
+    lambda_max finds no violator and runs no FISTA. On a new ``screen``
+    (the lambda search's, else the call's own) its pass at W = 0 is the
+    first reference.
     """
     P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
-    _, score = _Screen.of(data, mode).violators(data, P, np.zeros(0, dtype=np.intp), 0.0, 1)
+    screen = _Screen.serving(screen, data, mode)
+    _, score = screen.violators(P, np.zeros(0, dtype=np.intp), 0.0, 1)
     return float(score[0]) if len(score) else 0.0
 
 
-def solve(data, lam, opts=SolverOptions(), w0=None):
+def solve(data, lam, opts=SolverOptions(), w0=None, *, screen=None):
     """Working-set solve of the selection problem at ``lam``.
 
     Starts with the working set ``ws`` at the nonzero rows of ``w0`` (empty
@@ -391,12 +383,13 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     so there are about log2(K) passes.
 
     FISTA and its residuals run on a float64 copy of the columns ``ws``.
-    ``w0`` is copied, never written to. The result depends only on
-    ``data``, ``lam``, ``opts`` and ``w0``, never on the references the
-    tasks carry from earlier calls. In the solver's own float64 loss it
-    never has a higher objective than ``w0``; starting from zero, any lam
-    >= lambda_max (the largest float64 score at zero) returns the exact
-    zero matrix without a FISTA iteration.
+    ``w0`` is copied, never written to. ``screen`` is the lambda search's;
+    a call without one for these tasks and mode makes its own. The result
+    depends only on ``data``, ``lam``, ``opts`` and ``w0``, never on the
+    screen's reference. In the solver's own float64 loss it never has a
+    higher objective than ``w0``; starting from zero, any lam >=
+    lambda_max (the largest float64 score at zero) returns the exact zero
+    matrix without a FISTA iteration.
     """
     if lam < 0:
         raise NegativeLambdaError(f"lambda = {lam}")
@@ -404,13 +397,13 @@ def solve(data, lam, opts=SolverOptions(), w0=None):
     W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
     _check_shapes(W, data)
     ws = _nonzero_rows(W)
-    screen = _Screen.of(data, opts.mode)
+    screen = _Screen.serving(screen, data, opts.mode)
     while True:
-        sub = [d.columns(ws) for d in data]  # float64
+        P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
         if len(ws):
-            W[ws] = _fista(sub, lam, opts, W[ws])
-        P = _products(W[ws], sub)
-        grow, _ = screen.violators(data, P, ws, lam, max(20, len(ws)))
+            sub = [_Columns(d.X[:, ws].astype(np.float64, copy=False), d.y) for d in data]
+            W[ws], P = _fista(sub, lam, opts, W[ws])
+        grow, _ = screen.violators(P, ws, lam, max(20, len(ws)))
         if not len(grow):
             return W
         ws = np.union1d(ws, grow)
@@ -426,12 +419,11 @@ def _fista(data, lam, opts, w0):
     the step d from the extrapolated point, without subtracting two
     rounded losses. Stops on relative objective change below
     opts.rel_tol. Returns the best iterate seen, so the result's objective
-    is never above the initial point's.
+    is never above the initial point's, and its products X_l w_l.
 
-    Each iterate carries its products X_l w_l, so the extrapolated
-    point's products cost O(N); the accepted iterate's are recomputed
-    from W so they never drift. Iterates are float64; products run in
-    X's dtype.
+    Each iterate carries its products, so the extrapolated point's
+    products cost O(N); the accepted iterate's are recomputed from W so
+    they never drift. Iterates are float64; products run in X's dtype.
     """
     W = np.array(w0, dtype=np.float64)
     P = _products(W, data)
@@ -440,7 +432,7 @@ def _fista(data, lam, opts, w0):
     theta = 1.0
     step = INIT_STEP
     F = _loss(P, data) + lam * penalty(W, opts.mode)
-    best_F, best_W = F, W  # iterates are never written to once made
+    best_F, best_W, best_P = F, W, P  # iterates are never written to once made
 
     for _ in range(opts.max_iters):
         theta_next = (1.0 + math.sqrt(1.0 + 4.0 * theta * theta)) / 2.0
@@ -466,11 +458,11 @@ def _fista(data, lam, opts, w0):
         if not math.isfinite(F_new):
             raise NonFiniteError("objective diverged")
         if F_new < best_F:
-            best_F, best_W = F_new, W
+            best_F, best_W, best_P = F_new, W, P
         if abs(F_new - F) / max(1.0, abs(F)) < opts.rel_tol:
             break
         F = F_new
-    return best_W
+    return best_W, best_P
 
 
 def support(W, epsilon=SUPPORT_EPSILON):
@@ -481,20 +473,21 @@ def support(W, epsilon=SUPPORT_EPSILON):
 def fit_for_budget(data, budget, opts=SolverOptions()):
     """Pick lambda by bisection so at most ``budget`` bins are selected.
 
-    Searches [0, lambda_max]; each solve warm-starts from the previous
-    coefficients. Among solutions with |support| <= budget the one with
-    the largest support wins, ties broken toward smaller lambda; a bin is
-    selected when its row norm exceeds SUPPORT_EPSILON. The search stops
-    after MAX_BISECT solves, or earlier once the bracket [lo, hi] is no
-    wider than opts.rel_tol * hi: moving lambda that little changes the
-    penalty term lambda * R(W) by less than the solver's own relative
-    tolerance.
+    Searches [0, lambda_max] with one KKT screen; each solve warm-starts
+    from the previous coefficients. Among solutions with |support| <=
+    budget the one with the largest support wins, ties broken toward
+    smaller lambda; a bin is selected when its row norm exceeds
+    SUPPORT_EPSILON. The search stops after MAX_BISECT solves, or earlier
+    once the bracket [lo, hi] is no wider than opts.rel_tol * hi: moving
+    lambda that little changes the penalty term lambda * R(W) by less than
+    the solver's own relative tolerance.
     """
     k = data[0].k
     if not (1 <= budget <= k):
         raise BudgetOutOfRangeError(f"budget {budget} outside [1, {k}]")
 
-    lam_hi = lambda_max(data, opts.mode)
+    screen = _Screen(data, opts.mode)
+    lam_hi = lambda_max(data, opts.mode, screen=screen)
     best = SelectionResult(lam_hi, np.zeros((k, len(data))), np.array([], dtype=int))
     if lam_hi == 0.0:
         return best
@@ -505,7 +498,7 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
         if hi - lo <= opts.rel_tol * hi:
             break
         mid = 0.5 * (lo + hi)
-        W = solve(data, mid, opts, w0=W)  # a new array; the old W is not touched
+        W = solve(data, mid, opts, w0=W, screen=screen)  # a new W; the old one is kept
         S = support(W)
         if len(S) <= budget:
             hi = mid

@@ -36,8 +36,8 @@ class RunConfig:
             )
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.cs_max < 0:
-            raise ValueError(f"cs_max must be >= 0, got {self.cs_max}")
+        if not 0 <= self.cs_max <= ds.MAX_AGE:  # no absolute error exceeds MAX_AGE
+            raise ValueError(f"cs_max must be in [0, {ds.MAX_AGE}], got {self.cs_max}")
         if self.age_range is not None and self.age_range[0] > self.age_range[1]:
             raise ValueError(f"age_range {self.age_range} has lo > hi")
 
@@ -181,7 +181,7 @@ def synth_dataset(spec, out_dir):
         featfile.write_features(os.path.join(out_dir, f"features_task{l}.gfv"), d.X)
         for i in range(d.n):
             age = int(round(offset + scale * float(d.y[i])))
-            age = min(max(age, 0), 130)
+            age = min(max(age, 0), ds.MAX_AGE)
             person = f"p{l}_{i // 5}"
             samples.append(
                 ds.Sample(f"synthetic:{idx}", person, age, genders[l])

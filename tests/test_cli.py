@@ -335,6 +335,28 @@ class TestErrorContract:
             capsys, "InvalidSpec",
         )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["select", "--manifest", "m.csv"],  # --features and --out missing
+            ["select", "--manifest", "m.csv", "--features", "f.gfv", "--out", "s.txt",
+             "--mode", "foo"],
+            ["synth", "--out-dir", "synth", "--k", "abc"],
+            [],  # no subcommand
+            ["evaluate", "--manifest", "m.csv", "--features", "f.gfv", "--cs-max", "131"],
+        ],
+    )
+    def test_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        self.run_failing(argv, capsys, "InvalidSpec")
+        assert not os.listdir(tmp_path)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["select", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: glohage select")
+
     @pytest.mark.parametrize("setting", ["standardize = true", "age_range = 30:40"])
     @pytest.mark.parametrize("command", ["select", "train"])
     def test_evaluate_only_setting_in_config(self, tmp_path, capsys, command, setting):

@@ -327,7 +327,7 @@ class TestWorkingSet:
         fista = mtl._fista
 
         def spy(data, *args):
-            widths.append(data[0].k)
+            widths.append(data[0].X.shape[1])
             return fista(data, *args)
 
         monkeypatch.setattr(mtl, "_fista", spy)
@@ -350,7 +350,7 @@ class TestWorkingSet:
             data = random_instance(30 + seed, K=300, N=40)
             lam = frac * mtl.lambda_max(data, mode)
             f_full = mtl.objective(
-                mtl._fista(data, lam, opts, np.zeros((300, 2))), data, lam, mode
+                mtl._fista(data, lam, opts, np.zeros((300, 2)))[0], data, lam, mode
             )
             widths = self.spy_fista(monkeypatch)
             W = mtl.solve(data, lam, opts)
@@ -371,7 +371,7 @@ class TestWorkingSet:
         products = mtl._products
 
         def spy(W, data):
-            widths.append(data[0].k)
+            widths.append(data[0].X.shape[1])
             return products(W, data)
 
         monkeypatch.setattr(mtl, "_products", spy)
@@ -424,8 +424,8 @@ class TestWorkingSet:
 
 
 class TestScreen:
-    """solve's KKT check scores rows in float64 against bounds from each
-    task's last full-width pass (mtl._Screen)."""
+    """solve's KKT check scores rows in float64 against bounds from the
+    last full-width pass of its screen (mtl._Screen)."""
 
     @staticmethod
     def instance(seed, dtype, K=400, N=(60, 45)):
@@ -445,7 +445,8 @@ class TestScreen:
     @staticmethod
     def products(data, W):
         ws = mtl._nonzero_rows(W)
-        return ws, mtl._products(W[ws], [d.columns(ws) for d in data])
+        sub = [mtl._Columns(d.X[:, ws].astype(np.float64), d.y) for d in data]
+        return ws, mtl._products(W[ws], sub)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_score_does_not_depend_on_the_rows_scored_with_it(self, dtype):
@@ -475,14 +476,14 @@ class TestScreen:
             score = mtl._exact_scores(P, data, np.arange(400), mode)
             score[ws] = -np.inf
             top = np.argsort(-score, kind="stable")
+            screen = mtl._Screen(data, mode)
             for reference in ("zero", "solve", "here"):
                 if reference == "solve":
-                    mtl.solve(data, 0.5 * lam_max, opts)
-                screen = mtl._Screen.of(data, mode)
+                    mtl.solve(data, 0.5 * lam_max, opts, screen=screen)
                 if reference == "zero":
-                    screen.refresh(data, [np.zeros(d.n) for d in data])
+                    screen.refresh([np.zeros(d.n) for d in data])
                 elif reference == "here":
-                    screen.refresh(data, P)
+                    screen.refresh(P)
                 for j in (*top[:12], top[30], top[100]):
                     for lam in (score[j], np.nextafter(score[j], 0.0)):
                         over = np.flatnonzero(score > lam)
@@ -499,8 +500,8 @@ class TestScreen:
         # W = 0 to (1 + beta) g: Cauchy-Schwarz is tight, and the score rises
         # by exactly the bound
         data = self.instance(90, dtype)
-        screen = mtl._Screen.of(data, mode)
-        screen.refresh(data, [np.zeros(d.n) for d in data])
+        screen = mtl._Screen(data, mode)
+        screen.refresh([np.zeros(d.n) for d in data])
         ws = np.zeros(0, dtype=np.intp)
         g = dense_scores_at_zero(data)
         for k in np.random.default_rng(91).choice(400, 6, replace=False):
@@ -531,44 +532,49 @@ class TestScreen:
         P = [100.0 * m * (np.sign(g[k]) * X[:, k] - np.sign(g[j]) * X[:, j])]  # (2 / N) alpha = m
         score = mtl._exact_scores(P, data, np.arange(60), mode)
         assert score.argmax() == k
-        screen = mtl._Screen.of(data, mode)
-        screen.refresh(data, [np.zeros(200)])
+        screen = mtl._Screen(data, mode)
+        screen.refresh([np.zeros(200)])
         assert k in screen._candidates(P, np.zeros(0, dtype=np.intp), 0.0, 1, np.inf)
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_solve_ignores_the_references_it_finds(self, dtype, mode):
-        # the same solve on fresh tasks and on tasks that already ran
-        # lambda_max and solves at other lambdas, in this mode or the
-        # other, gives the same bytes
+        # the same solve with a new screen and with a screen that already
+        # served lambda_max and solves at other lambdas, in this mode or the
+        # other, gives the same bytes; so does a screen made for other tasks
         opts = SolverOptions(mode=mode)
         other = SolverOptions(mode=mtl.MODE_STL if mode == mtl.MODE_MTL else mtl.MODE_MTL)
         data = self.instance(60, dtype, K=1500)
-        lam_max = mtl.lambda_max(data, mode)
-        W_far = mtl.solve(data, 0.05 * lam_max, opts)
+        screen = mtl._Screen(data, mode)
+        lam_max = mtl.lambda_max(data, mode, screen=screen)
+        W_far = mtl.solve(data, 0.05 * lam_max, opts, screen=screen)
         for frac, w0, first in ((0.3, None, opts), (0.12, None, opts), (0.12, W_far, opts),
                                 (0.12, None, other)):
-            if first is other:  # tasks whose first screen had the other mode
-                data = self.fresh(data)
-                mtl.lambda_max(data, other.mode)
-            mtl.solve(data, 0.7 * lam_max, first)
-            used = mtl.solve(data, frac * lam_max, opts, w0=w0)
+            if first is other:  # a screen whose first pass had the other mode
+                screen = mtl._Screen(data, other.mode)
+                mtl.lambda_max(data, other.mode, screen=screen)
+            mtl.solve(data, 0.7 * lam_max, first, screen=screen)
+            used = mtl.solve(data, frac * lam_max, opts, w0=w0, screen=screen)
             new = mtl.solve(self.fresh(data), frac * lam_max, opts, w0=w0)
             assert used.tobytes() == new.tobytes()
+        foreign = mtl._Screen(self.instance(61, dtype, K=1500), mode)
+        mtl.lambda_max(foreign.data, mode, screen=foreign)
+        assert mtl.solve(data, 0.12 * lam_max, opts, screen=foreign).tobytes() == new.tobytes()
 
     def test_restart_at_optimum_takes_no_full_width_product(self, monkeypatch):
         data = self.instance(70, np.float32, K=3000)
-        lam = 0.2 * mtl.lambda_max(data)
-        W = mtl.solve(data, lam)
+        screen = mtl._Screen(data, mtl.MODE_MTL)
+        lam = 0.2 * mtl.lambda_max(data, screen=screen)
+        W = mtl.solve(data, lam, screen=screen)
         widths = []
         grad = mtl._grad
 
         def spy(P, data, out):
-            widths.append(data[0].k)
+            widths.append(data[0].X.shape[1])
             return grad(P, data, out)
 
         monkeypatch.setattr(mtl, "_grad", spy)
-        mtl.solve(data, lam, w0=W)
+        mtl.solve(data, lam, w0=W, screen=screen)
         assert widths and 3000 not in widths  # FISTA's products, no KKT product
 
     @pytest.mark.parametrize("x_scale, y_scale, fracs", [
@@ -582,10 +588,11 @@ class TestScreen:
         for l in range(2):
             X = (x_scale * rng.standard_normal((30, 200))).astype(np.float32)
             data.append(TaskDataset(f"t{l}", X, y_scale * rng.standard_normal(30)))
-        lam = mtl.lambda_max(data)
+        screen = mtl._Screen(data, mtl.MODE_MTL)
+        lam = mtl.lambda_max(data, screen=screen)
         assert lam == np.linalg.norm(dense_scores_at_zero(data), axis=1).max()
         for frac in fracs:
-            W = mtl.solve(data, frac * lam)
+            W = mtl.solve(data, frac * lam, screen=screen)
             assert W.tobytes() == mtl.solve(self.fresh(data), frac * lam).tobytes()
             assert (frac < 1) == W.any()
 

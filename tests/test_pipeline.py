@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -60,6 +61,46 @@ def test_no_held_out_row_reaches_a_fold_fit(
     for i, (rows, *_) in enumerate(parts):
         held_out = folds[i // 2].held_out_person
         assert all(kept.samples[r].person_id != held_out for r in rows)
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_held_out_person_changes_only_the_other_folds(tmp_path, monkeypatch, standardize):
+    # new feature rows and ages for one person leave the fold that holds the
+    # person out byte-identical, through the selection, _standardized's
+    # statistics and the ridge clamp, and change every other fold
+    manifest, features = synth_corpus(tmp_path)
+    person = manifest.samples[0].person_id
+    rows = [i for i, s in enumerate(manifest.samples) if s.person_id == person]
+    changed = features.copy()
+    rng = np.random.default_rng(34)
+    changed[rows] = 10 * rng.standard_normal((len(rows), features.shape[1]))
+    other = ds.Manifest([
+        dataclasses.replace(s, age=ds.MAX_AGE - s.age) if s.person_id == person else s
+        for s in manifest.samples
+    ])
+    config = pipeline.RunConfig(budget=8, standardize=standardize)
+    train = pipeline.train_model
+
+    def fold_fits(man, feats):
+        fits = []
+
+        def spy(*args, **kwargs):
+            selection, model = train(*args, **kwargs)
+            fits.append([selection.lam, selection.selected.tobytes(), selection.W.tobytes(),
+                         model.clamp, sorted(model.alphas.items()),
+                         sorted(model.intercepts.items()),
+                         [(t, w.tobytes()) for t, w in sorted(model.weights.items())]])
+            return selection, model
+
+        monkeypatch.setattr(pipeline, "train_model", spy)
+        pipeline.evaluate_lopo(man, feats, config)
+        return fits
+
+    held = [f.held_out_person for f in ds.split_lopo(manifest)].index(person)
+    before, after = fold_fits(manifest, features), fold_fits(other, changed)
+    assert len(before) == len(after) == 16
+    for i, (b, a) in enumerate(zip(before, after)):
+        assert (b == a) == (i == held)
 
 
 def test_given_selection_skips_the_task_partition(tmp_path, monkeypatch):
@@ -146,6 +187,7 @@ def test_predict_rows_gives_each_row_its_task():
         (pipeline.RunConfig, "alpha_grid", (float("nan"), 1.0)),
         (pipeline.RunConfig, "seed", -1),
         (pipeline.RunConfig, "cs_max", -1),
+        (pipeline.RunConfig, "cs_max", ds.MAX_AGE + 1),
         (pipeline.RunConfig, "age_range", (30, 20)),
         (mtl.SolverOptions, "rel_tol", float("nan")),
         (mtl.SolverOptions, "rel_tol", float("inf")),
