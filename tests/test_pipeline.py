@@ -187,10 +187,10 @@ def test_predict_rows_gives_each_row_its_task():
         (pipeline.RunConfig, "alpha_grid", (float("nan"), 1.0)),
         (pipeline.RunConfig, "seed", -1),
         (pipeline.RunConfig, "cs_max", -1),
-        (pipeline.RunConfig, "cs_max", ds.MAX_AGE + 1),
         (pipeline.RunConfig, "age_range", (30, 20)),
         (mtl.SolverOptions, "rel_tol", float("nan")),
         (mtl.SolverOptions, "rel_tol", float("inf")),
+        (pipeline.RunConfig, "cs_max", ds.MAX_AGE + 1),
     ],
 )
 def test_settings_reject_bad_values(settings, key, value):
