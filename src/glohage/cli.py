@@ -126,12 +126,6 @@ def build_config(args, refused=()):
         raise InvalidSpecError(f"bad setting: {exc}") from None
 
 
-def _load_pair(manifest_path, features_path):
-    manifest = ds.parse_manifest(manifest_path)
-    features = featfile.read_features(features_path)
-    return manifest, features
-
-
 def cmd_extract(args):
     config = build_config(args)
     manifest = ds.parse_manifest(args.manifest)
@@ -143,7 +137,8 @@ def cmd_extract(args):
 
 def cmd_select(args):
     config = build_config(args, EVALUATE_ONLY)
-    manifest, features = _load_pair(args.manifest, args.features)
+    manifest = ds.parse_manifest(args.manifest)
+    features = featfile.FeatureFile(args.features)  # reads each task's rows
     sel = pipeline.select_bins(manifest, features, config)
     mtl.write_selection(args.out, sel)
     print(f"lambda={sel.lam!r} selected={len(sel.selected)}")
@@ -151,7 +146,8 @@ def cmd_select(args):
 
 def cmd_train(args):
     config = build_config(args, EVALUATE_ONLY)
-    manifest, features = _load_pair(args.manifest, args.features)
+    manifest = ds.parse_manifest(args.manifest)
+    features = featfile.FeatureFile(args.features)  # reads only what the fits use
     selection = None
     if args.selection:
         selection = mtl.read_selection(args.selection, features.shape[1], 2)
@@ -174,7 +170,8 @@ def cmd_predict(args):
 
 def cmd_evaluate(args):
     config = build_config(args)
-    manifest, features = _load_pair(args.manifest, args.features)
+    manifest = ds.parse_manifest(args.manifest)
+    features = featfile.read_features(args.features)
     report = pipeline.evaluate_lopo(manifest, features, config)
     if args.out:
         metrics.write_report(args.out, report)

@@ -3,6 +3,12 @@
 Binary layout: 4-byte ASCII magic "GFV1", uint32-LE row count N, uint32-LE
 dimension K, then N*K float32-LE values, row-major. Row order matches the
 manifest order used at extraction time.
+
+``read_features`` loads the whole matrix with one read of the body.
+``FeatureFile`` reads on demand: a gather of rows, or of (rows, bins),
+goes straight from the file, so a caller that needs only some rows or
+bins never holds the whole matrix. Both check the header and the file
+size in one place and raise the same typed errors.
 """
 
 import os
@@ -18,6 +24,8 @@ from .errors import (
 )
 
 MAGIC = b"GFV1"
+HEADER_BYTES = 12
+BLOCK_BYTES = 1 << 19  # most bytes of whole rows a (rows, bins) gather holds
 
 
 def write_features(path, rows):
@@ -32,22 +40,19 @@ def write_features(path, rows):
         arr.tofile(fh)
 
 
-def read_features(path):
-    """Read a GFV1 file into an (N, K) float32 array.
-
-    The body is read straight into the array; a file shorter or longer
-    than its header declares is rejected.
-    """
+def _open(path):
+    """Open a GFV1 file whose size matches its header; returns (file, N, K),
+    the file positioned at the body."""
     try:
         fh = open(path, "rb")
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}")
-    with fh:
-        header = fh.read(12)
-        if len(header) < 12 or header[:4] != MAGIC:
+    try:
+        header = fh.read(HEADER_BYTES)
+        if len(header) < HEADER_BYTES or header[:4] != MAGIC:
             raise MalformedHeaderError(f"not a GFV1 file: {path}")
         n, k = struct.unpack("<II", header[4:])
-        need = 12 + 4 * n * k
+        need = HEADER_BYTES + 4 * n * k
         size = os.fstat(fh.fileno()).st_size
         if size < need:
             raise TruncatedPixelDataError(
@@ -57,4 +62,89 @@ def read_features(path):
             raise TrailingDataError(
                 f"GFV1 file has {size - need} bytes after its {n}x{k} body"
             )
+    except BaseException:
+        fh.close()
+        raise
+    return fh, n, k
+
+
+def read_features(path):
+    """Read a GFV1 file into an (N, K) float32 array.
+
+    The body is read straight into the array; a file shorter or longer
+    than its header declares is rejected.
+    """
+    fh, n, k = _open(path)
+    with fh:
         return np.fromfile(fh, dtype="<f4", count=n * k).reshape(n, k)
+
+
+class FeatureFile:
+    """A GFV1 file read on demand, for callers that need some rows or bins.
+
+    ``f[rows]`` reads the rows, in the given order and repeats included,
+    into one new (len(rows), K) float32 array, with one read per run of
+    consecutive rows. ``f[np.ix_(rows, bins)]`` reads the rows a block of
+    at most BLOCK_BYTES at a time and keeps only the bins. Rows must lie
+    in [0, N), so a read never leaves the body; bins index as in numpy.
+    The header and size are checked when the reader is made and again at
+    every read, so a file changed in between raises read_features' typed
+    errors instead of returning other bytes.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        fh, n, k = _open(path)
+        fh.close()
+        self.shape = (n, k)
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            rows = self._row_index(key)
+            out = np.empty((len(rows), self.shape[1]), dtype="<f4")
+            with self._reopen() as fh:
+                self._read(fh, rows, out)
+            return out
+        # np.ix_ gives a (rows, 1) and a (1, bins) array
+        if len(key) != 2 or np.shape(key[0])[1:] != (1,) or np.shape(key[1])[:-1] != (1,):
+            raise IndexError("a FeatureFile takes f[rows] or f[np.ix_(rows, bins)]")
+        rows = self._row_index(np.asarray(key[0])[:, 0])
+        bins = np.arange(self.shape[1])[np.asarray(key[1])[0]]  # numpy's bin checks
+        out = np.empty((len(rows), len(bins)), dtype="<f4")
+        step = max(1, BLOCK_BYTES // (4 * self.shape[1] or 1))
+        block = np.empty((min(step, len(rows)), self.shape[1]), dtype="<f4")
+        with self._reopen() as fh:
+            for a in range(0, len(rows), step):
+                part = rows[a : a + step]
+                self._read(fh, part, block)
+                out[a : a + len(part)] = block[: len(part), bins]
+        return out
+
+    def _row_index(self, rows):
+        idx = np.asarray(rows)
+        if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+            raise IndexError("rows must be a 1-D sequence of integers")
+        idx = idx.astype(np.intp)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.shape[0]):
+            raise IndexError(f"row index out of range [0, {self.shape[0]})")
+        return idx
+
+    def _reopen(self):
+        fh, n, k = _open(self.path)
+        if (n, k) != self.shape:
+            fh.close()
+            raise MalformedHeaderError(
+                f"{self.path}: now {n}x{k}, was {self.shape[0]}x{self.shape[1]}"
+            )
+        return fh
+
+    def _read(self, fh, rows, out):
+        """Read ``rows`` into out[:len(rows)], one read per run of consecutive rows."""
+        if not len(rows):
+            return
+        row_bytes = 4 * self.shape[1]
+        cuts = (np.flatnonzero(np.diff(rows) != 1) + 1).tolist()
+        for a, b in zip([0, *cuts], [*cuts, len(rows)]):
+            fh.seek(HEADER_BYTES + int(rows[a]) * row_bytes)
+            if fh.readinto(out[a:b]) != (b - a) * row_bytes:
+                raise TruncatedPixelDataError(f"{self.path}: body ended mid-read")

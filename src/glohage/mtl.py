@@ -67,6 +67,7 @@ STEP_SHRINK = 0.5  # backtracking factor on the step
 SUPPORT_EPSILON = 1e-8  # row norm above which a bin counts as selected
 MAX_BISECT = 40  # most solves one lambda search makes
 CACHE_LINE = 64  # bytes read per element when gathering a column of a row-major X
+SCORE_BLOCK = 128  # columns _exact_scores gathers and casts to float64 at a time
 _Columns = namedtuple("_Columns", "X y")  # a task on float64 working-set columns
 
 
@@ -196,14 +197,17 @@ def _gamma(n, dtype):
 
 
 def _exact_scores(P, data, rows, mode):
-    """Float64 KKT scores of ``rows`` at products P. Each column is summed
-    on its own, so a row's score has the same bits whichever rows are
-    scored with it."""
+    """Float64 KKT scores of ``rows`` at products P, gathered SCORE_BLOCK
+    columns at a time. Each column is summed on its own, so a row's score
+    has the same bits whichever rows are scored with it."""
     G = np.empty((len(rows), len(data)), order="F")
     for l, (p, d) in enumerate(zip(P, data)):
-        cols = d.X.T[rows].astype(np.float64, copy=False)  # (rows, N), a fresh array
-        cols *= p - d.y
-        G[:, l] = (2.0 / len(p)) * cols.sum(1)
+        r = p - d.y
+        for a in range(0, len(rows), SCORE_BLOCK):
+            # (block, N), a fresh array
+            cols = d.X.T[rows[a : a + SCORE_BLOCK]].astype(np.float64, copy=False)
+            cols *= r
+            G[a : a + SCORE_BLOCK, l] = (2.0 / len(p)) * cols.sum(1)
     return _scores(G, mode)
 
 

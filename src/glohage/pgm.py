@@ -101,8 +101,18 @@ def load_pgm(path):
 
 
 def save_pgm(img, path):
-    """Write a uint8 image as binary P5. Round-trips exactly with load_pgm."""
-    img = np.asarray(img, dtype=np.uint8)
+    """Write a 2-D image as binary P5. Round-trips exactly with load_pgm.
+
+    A sample that is not an integer in [0, 255] raises ValueError before
+    any file is written; uint8 input is written as it is.
+    """
+    img = np.asarray(img)
+    if img.dtype != np.uint8:
+        if img.dtype.kind not in "iuf" or not np.all(
+            (img >= 0) & (img <= 255) & (np.floor(img) == img)
+        ):
+            raise ValueError("PGM samples must be integers in [0, 255]")
+        img = img.astype(np.uint8)
     h, w = img.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))

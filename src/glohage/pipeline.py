@@ -86,7 +86,9 @@ def _standardized(features, train_rows):
 def select_bins(manifest, features, config=RunConfig(), rows=None):
     """Fit the sparse selection on the tasks of ``rows`` (default: all rows).
 
-    Each task copies its ``dataset.task_rows`` of ``features`` once. Its
+    ``features`` is an (N, K) array or a ``featfile.FeatureFile``; only
+    its ``.shape`` and row gathers are used. Each task takes its
+    ``dataset.task_rows`` of ``features`` once, as a new array. Its
     labels are its ages less their mean: the selection problem has no
     intercept, and the age offset would swamp the bin correlations.
     """
@@ -102,7 +104,10 @@ def select_bins(manifest, features, config=RunConfig(), rows=None):
 
 def train_model(manifest, features, config=RunConfig(), selection=None, rows=None):
     """Selection on ``rows`` (unless given) followed by per-task ridge
-    regressors, each fit on its task's rows of the selected bins."""
+    regressors, each fit on its task's rows of the selected bins.
+
+    ``features`` is an (N, K) array or a ``featfile.FeatureFile``, as in
+    ``select_bins``."""
     ds.check_row_count(manifest, features)
     if rows is None:
         rows = range(len(manifest.samples))

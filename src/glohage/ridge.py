@@ -121,8 +121,10 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
 
     ``features`` and ``ages`` hold one entry per manifest row, and ``rows``
     maps task label -> manifest rows, as ``dataset.task_rows`` gives them.
-    Each fit gathers its (rows, selected) block once; a non-finite value in
-    it raises NonFiniteError. The pooled model under the key "pooled" is fit
+    ``features`` is an (N, K) array or a ``featfile.FeatureFile``: each fit
+    gathers its (rows, selected) block once, as
+    ``features[np.ix_(rows, selected)]``; a non-finite value in it raises
+    NonFiniteError. The pooled model under the key "pooled" is fit
     on every task's rows, each once where it first appears, and serves rows
     whose task label is unknown at prediction time. A task with fewer
     samples than CV_FOLDS takes the middle of the grid.

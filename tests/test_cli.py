@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,40 @@ class TestSelectTrainPredict:
             assert rc == 0
             models.append(model.read_bytes())
         assert models[0] == models[1]
+
+    def test_select_and_train_never_hold_the_whole_matrix(self, tmp_path, capsys):
+        # select reads each task's rows from the file and train --selection
+        # only the selected bins, so neither allocates the GFV1 body as a
+        # whole; genders alternate and one row in seven has none, so each
+        # task's rows come in short runs
+        n, k = 240, 3000
+        rng = np.random.default_rng(37)
+        features = rng.standard_normal((n, k)).astype(np.float32)
+        lines = ["path,person_id,age,gender"]
+        for i, x in enumerate(features):
+            age = int(np.clip(round(35 + 6 * x[5] - 5 * x[900] + 4 * x[2100]), 0, 90))
+            lines.append(f"synthetic:{i},p{i // 3},{age},{'' if i % 7 == 6 else 'mf'[i % 2]}")
+        man, feat = tmp_path / "manifest.csv", str(tmp_path / "features.gfv")
+        man.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        featfile.write_features(feat, features)
+        del features
+        body = 4 * n * k
+        sel, model = str(tmp_path / "sel.txt"), str(tmp_path / "model.txt")
+        runs = [
+            (["select", "--manifest", str(man), "--features", feat, "--out", sel,
+              "--budget", "10"], 2.0),
+            (["train", "--manifest", str(man), "--features", feat, "--out", model,
+              "--selection", sel], 0.5),
+        ]
+        for argv, bound in runs:
+            tracemalloc.start()  # numpy reports its data allocations to it
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound * body, (argv[0], peak / body)
+        assert len(text_lines(model)) > 4
 
 
 class TestErrorContract:

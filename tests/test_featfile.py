@@ -1,3 +1,4 @@
+import os
 from pathlib import Path
 
 import numpy as np
@@ -56,3 +57,112 @@ def test_bad_header(tmp_path, data):
 def test_missing_file(tmp_path):
     with pytest.raises(MissingFileError):
         featfile.read_features(str(tmp_path / "absent.gfv"))
+
+
+def reader_and_matrix(tmp_path, n=40, k=30, seed=3):
+    rows = np.random.default_rng(seed).standard_normal((n, k)).astype(np.float32)
+    path = write_rows(tmp_path, rows)
+    return featfile.FeatureFile(path), featfile.read_features(path), path
+
+
+def same(got, want):
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+# male rows, then the female-only rows: ridge.fit_model's pooled list
+POOLED = [0, 1, 3, 4, 6, 9, 10, 12, 2, 5, 7, 8, 11]
+
+
+@pytest.mark.parametrize("rows", [
+    list(range(40)), [3, 4, 5, 20, 39], [17, 2, 30, 3, 4, 0], [5, 5, 6, 5, 0, 0],
+    POOLED, np.array([8, 9, 1]), range(10, 20), [],
+])
+def test_reader_rows_match_read_features(tmp_path, rows):
+    f, full, _ = reader_and_matrix(tmp_path)
+    assert f.shape == full.shape
+    assert same(f[rows], full[rows])
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 5, 100])
+@pytest.mark.parametrize("rows", [list(range(40)), POOLED, [7, 7, 39, 0, 1, 2], []])
+def test_reader_rows_and_bins_match_read_features(tmp_path, monkeypatch, block_rows, rows):
+    f, full, _ = reader_and_matrix(tmp_path)
+    monkeypatch.setattr(featfile, "BLOCK_BYTES", block_rows * 4 * full.shape[1])
+    for bins in ([29, 0, 14, 3], np.array([5]), [-1, 2], []):
+        assert same(f[np.ix_(rows, bins)], full[np.ix_(rows, bins)])
+
+
+def test_reader_of_a_zero_row_file(tmp_path):
+    path = write_rows(tmp_path, np.zeros((0, 6)))
+    f = featfile.FeatureFile(path)
+    assert f.shape == (0, 6)
+    assert same(f[[]], featfile.read_features(path)[[]])
+    assert f[np.ix_([], [1, 4])].shape == (0, 2)
+
+
+@pytest.mark.parametrize("key", [[-1], [40], [0, 41], [3, -2]])
+def test_reader_refuses_rows_outside_the_body(tmp_path, key):
+    f, _, _ = reader_and_matrix(tmp_path)
+    with pytest.raises(IndexError):
+        f[key]
+    with pytest.raises(IndexError):
+        f[np.ix_(key, [0])]
+
+
+def test_reader_checks_the_file_as_read_features_does(tmp_path):
+    with pytest.raises(MissingFileError):
+        featfile.FeatureFile(str(tmp_path / "absent.gfv"))
+    bad = tmp_path / "bad.gfv"
+    bad.write_bytes(b"GFV2" + bytes(8))
+    with pytest.raises(MalformedHeaderError):
+        featfile.FeatureFile(str(bad))
+    path = write_rows(tmp_path, np.ones((3, 4)))
+    Path(path).write_bytes(Path(path).read_bytes()[:-1])
+    with pytest.raises(TruncatedPixelDataError):
+        featfile.FeatureFile(path)
+    path = write_rows(tmp_path, np.ones((3, 4)))
+    with open(path, "ab") as fh:
+        fh.write(b"junk")
+    with pytest.raises(TrailingDataError):
+        featfile.FeatureFile(path)
+
+
+@pytest.mark.parametrize("key", [[0, 39], np.ix_([39], [0, 1])])
+def test_reader_refuses_a_file_changed_after_it_was_opened(tmp_path, key):
+    f, _, path = reader_and_matrix(tmp_path)
+    body = Path(path).read_bytes()
+    Path(path).write_bytes(body[:-8])
+    with pytest.raises(TruncatedPixelDataError):
+        f[key]
+    Path(path).write_bytes(body + b"junk")
+    with pytest.raises(TrailingDataError):
+        f[key]
+
+
+def test_reader_refuses_a_body_that_ends_mid_read(tmp_path, monkeypatch):
+    # the file shrinks between the size check and the read
+    f, _, path = reader_and_matrix(tmp_path)
+    checked = featfile._open
+
+    def check_then_truncate(p):
+        opened = checked(p)
+        os.truncate(p, featfile.HEADER_BYTES + 4 * 30 * 20)
+        return opened
+
+    monkeypatch.setattr(featfile, "_open", check_then_truncate)
+    with pytest.raises(TruncatedPixelDataError):
+        f[[0, 39]]
+
+
+def test_reader_refuses_a_file_rewritten_with_another_shape(tmp_path):
+    f, full, path = reader_and_matrix(tmp_path)
+    featfile.write_features(path, full.reshape(30, 40))
+    with pytest.raises(MalformedHeaderError):
+        f[[0]]
+
+
+@pytest.mark.parametrize("key", [([1], [2]), (np.array([[1]]),), ([[1]], [[2]], [[3]])])
+def test_reader_takes_only_rows_or_an_ix_pair(tmp_path, key):
+    f, _, _ = reader_and_matrix(tmp_path)
+    with pytest.raises(IndexError):
+        f[key]

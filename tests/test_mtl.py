@@ -460,6 +460,23 @@ class TestScreen:
                 got = mtl._exact_scores(P, data, rows, mode)
                 assert got.tobytes() == every[rows].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_scores_match_one_gather(self, dtype):
+        # scoring SCORE_BLOCK columns at a time keeps every score's bits
+        data = self.instance(42, dtype)
+        rng = np.random.default_rng(43)
+        P = [rng.standard_normal(d.n) for d in data]
+        b = mtl.SCORE_BLOCK
+        for m in (b - 1, b, b + 1, 3 * b + 5):
+            rows = rng.choice(400, m, replace=False)
+            G = np.column_stack([
+                (2.0 / d.n) * (d.X.T[rows].astype(np.float64) * (p - d.y)).sum(1)
+                for p, d in zip(P, data)
+            ])
+            for mode in (mtl.MODE_MTL, mtl.MODE_STL):
+                got = mtl._exact_scores(P, data, rows, mode)
+                assert got.tobytes() == mtl._scores(G, mode).tobytes()
+
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bound_keeps_every_violator(self, dtype, mode):

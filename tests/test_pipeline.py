@@ -219,3 +219,42 @@ def test_pooled_ridge_sees_each_training_row_once(monkeypatch):
     assert len(order) == len(X) == 30
     assert np.array_equal(X, features[order][:, [1, 4]])
     assert np.array_equal(y, ages[order])
+
+
+def interleaved_corpus(tmp_path, n=70, k=60, seed=35):
+    # genders alternate row by row and one row in seven has none, so every
+    # task's rows come in short runs; ages follow a few planted bins
+    rng = np.random.default_rng(seed)
+    genders = [ds.UNKNOWN if i % 7 == 6 else (ds.MALE, ds.FEMALE)[i % 2] for i in range(n)]
+    features = rng.standard_normal((n, k)).astype(np.float32)
+    ages = np.clip(np.rint(35 + features[:, [3, 17, 41]] @ [6.0, -5.0, 4.0]), 0, 90)
+    manifest = ds.Manifest([ds.Sample(f"synthetic:{i}", f"p{i // 3}", int(a), g)
+                            for i, (g, a) in enumerate(zip(genders, ages))])
+    path = str(tmp_path / "features.gfv")
+    featfile.write_features(path, features)
+    return manifest, path
+
+
+def fit_bytes(selection, model):
+    return [selection.lam, selection.W.tobytes(), selection.selected.tobytes(),
+            model.selected.tobytes(), model.clamp, sorted(model.alphas.items()),
+            sorted(model.intercepts.items()),
+            [(t, w.tobytes()) for t, w in sorted(model.weights.items())]]
+
+
+def test_reader_gives_the_array_fits(tmp_path, monkeypatch):
+    # select_bins and train_model, with and without a selection, fit the
+    # same bits from a FeatureFile, reading 3 rows a block, as from the
+    # whole array
+    manifest, path = interleaved_corpus(tmp_path)
+    monkeypatch.setattr(featfile, "BLOCK_BYTES", 3 * 4 * 60)
+    full, reader = featfile.read_features(path), featfile.FeatureFile(path)
+    config = pipeline.RunConfig(budget=5)
+    a, b = (pipeline.select_bins(manifest, x, config) for x in (full, reader))
+    assert len(a.selected) and [a.lam, a.W.tobytes(), a.selected.tobytes()] == [
+        b.lam, b.W.tobytes(), b.selected.tobytes()]
+    rows = np.random.default_rng(36).permutation(len(manifest))[:50]
+    for selection, fold in ((None, None), (a, None), (None, rows)):
+        got = [fit_bytes(*pipeline.train_model(manifest, x, config, selection, fold))
+               for x in (full, reader)]
+        assert got[0] == got[1]
