@@ -158,7 +158,7 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = ridge.read_model(args.model)
-    features = featfile.read_features(args.features)
+    features = featfile.FeatureFile(args.features)  # reads each task's rows
     manifest = ds.parse_manifest(args.manifest) if args.manifest else None
     preds = pipeline.predict_rows(model, features, manifest)
     with open(args.out, "w", encoding="utf-8") as fh:

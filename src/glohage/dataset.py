@@ -59,11 +59,14 @@ class Fold:
 def parse_manifest(path):
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = list(reader)
     except FileNotFoundError:
         raise MissingFileError(f"no such file: {path}")
     except UnicodeDecodeError:
         raise MalformedRowError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:  # e.g. a field beyond csv's field size limit
+        raise MalformedRowError(f"line {reader.line_num}: {exc}") from None
     if not rows or rows[0] != ["path", "person_id", "age", "gender"]:
         raise MalformedRowError("missing or wrong manifest header")
 

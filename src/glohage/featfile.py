@@ -4,11 +4,10 @@ Binary layout: 4-byte ASCII magic "GFV1", uint32-LE row count N, uint32-LE
 dimension K, then N*K float32-LE values, row-major. Row order matches the
 manifest order used at extraction time.
 
-``read_features`` loads the whole matrix with one read of the body.
-``FeatureFile`` reads on demand: a gather of rows, or of (rows, bins),
-goes straight from the file, so a caller that needs only some rows or
-bins never holds the whole matrix. Both check the header and the file
-size in one place and raise the same typed errors.
+``FeatureFile`` is the one reader of a GFV1 body. It reads on demand: a
+gather of rows, or of (rows, bins), goes straight from the file, so a
+caller that needs only some rows or bins never holds the whole matrix.
+``read_features`` is its gather of every row, one read of the body.
 """
 
 import os
@@ -69,14 +68,10 @@ def _open(path):
 
 
 def read_features(path):
-    """Read a GFV1 file into an (N, K) float32 array.
-
-    The body is read straight into the array; a file shorter or longer
-    than its header declares is rejected.
-    """
-    fh, n, k = _open(path)
-    with fh:
-        return np.fromfile(fh, dtype="<f4", count=n * k).reshape(n, k)
+    """Read a GFV1 file into an (N, K) float32 array: every row of a
+    ``FeatureFile``, so it raises the same typed errors."""
+    f = FeatureFile(path)
+    return f[np.arange(f.shape[0])]
 
 
 class FeatureFile:
@@ -88,8 +83,9 @@ class FeatureFile:
     at most BLOCK_BYTES at a time and keeps only the bins. Rows must lie
     in [0, N), so a read never leaves the body; bins index as in numpy.
     The header and size are checked when the reader is made and again at
-    every read, so a file changed in between raises read_features' typed
-    errors instead of returning other bytes.
+    every read, and a read that ends short raises TruncatedPixelDataError,
+    so a file changed in between raises a typed error instead of
+    returning other bytes.
     """
 
     def __init__(self, path):

@@ -123,7 +123,9 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
 
 def predict_rows(model, features, manifest=None, rows=None):
     """Predict ages for feature rows; gender (if known) picks the task model,
-    and each task's rows go to ridge.predict in one call."""
+    and each task's rows go to ridge.predict in one call. ``features`` is
+    an (N, K) array or a ``featfile.FeatureFile``; only the rows of one
+    task at a time are gathered."""
     if manifest is not None:
         ds.check_row_count(manifest, features)
     rows = np.arange(features.shape[0]) if rows is None else np.asarray(rows, dtype=int)
@@ -179,7 +181,6 @@ def synth_dataset(spec, out_dir):
     offset = -lo * scale
 
     samples = []
-    rows = []
     genders = [ds.MALE, ds.FEMALE] + [ds.UNKNOWN] * max(0, spec.L - 2)
     idx = 0
     for l, d in enumerate(data):
@@ -191,11 +192,11 @@ def synth_dataset(spec, out_dir):
             samples.append(
                 ds.Sample(f"synthetic:{idx}", person, age, genders[l])
             )
-            rows.append(d.X[i])
             idx += 1
     manifest = ds.Manifest(samples)
     ds.write_manifest(os.path.join(out_dir, "manifest.csv"), manifest)
-    featfile.write_features(os.path.join(out_dir, "features.gfv"), np.array(rows))
+    features = np.concatenate([d.X for d in data])
+    featfile.write_features(os.path.join(out_dir, "features.gfv"), features)
 
     with open(os.path.join(out_dir, "truth.txt"), "w", encoding="utf-8") as fh:
         fh.write("GLOHSYNTH 1\n")

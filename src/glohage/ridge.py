@@ -121,23 +121,26 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
 
     ``features`` and ``ages`` hold one entry per manifest row, and ``rows``
     maps task label -> manifest rows, as ``dataset.task_rows`` gives them.
-    ``features`` is an (N, K) array or a ``featfile.FeatureFile``: each fit
-    gathers its (rows, selected) block once, as
-    ``features[np.ix_(rows, selected)]``; a non-finite value in it raises
-    NonFiniteError. The pooled model under the key "pooled" is fit
-    on every task's rows, each once where it first appears, and serves rows
-    whose task label is unknown at prediction time. A task with fewer
-    samples than CV_FOLDS takes the middle of the grid.
+    The pooled model under the key "pooled" is fit on every task's rows,
+    each once where it first appears, and serves rows whose task label is
+    unknown at prediction time. ``features`` is an (N, K) array or a
+    ``featfile.FeatureFile``, read once: one gather
+    ``features[np.ix_(pooled, selected)]``, in which a non-finite value
+    raises NonFiniteError, and every fit takes its rows from that block.
+    A task with fewer samples than CV_FOLDS takes the middle of the grid.
     """
     selected = np.asarray(selected, dtype=int)
     ages = np.asarray(ages, dtype=np.float64)
     model = RidgeModel(selected=selected)
     pooled = list(dict.fromkeys(r for idx in rows.values() for r in idx))
+    at = {r: i for i, r in enumerate(pooled)}  # manifest row -> row of block
+    block = features[np.ix_(pooled, selected)].astype(np.float64)
+    finite = np.isfinite(block).all(axis=1)
+    if not finite.all():
+        bad = pooled[finite.argmin()]
+        raise NonFiniteError(f"feature row {bad}: non-finite value in a selected bin")
     for task, idx in {**rows, POOLED: pooled}.items():
-        Xs = features[np.ix_(idx, selected)].astype(np.float64)
-        if not np.all(np.isfinite(Xs)):
-            raise NonFiniteError(f"task {task!r}: non-finite value in a selected bin")
-        y = ages[idx]
+        Xs, y = block[[at[r] for r in idx]], ages[idx]
         try:
             alpha = select_alpha(Xs, y, alpha_grid, seed)
         except TooFewSamplesError:

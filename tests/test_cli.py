@@ -291,11 +291,11 @@ class TestSelectTrainPredict:
             models.append(model.read_bytes())
         assert models[0] == models[1]
 
-    def test_select_and_train_never_hold_the_whole_matrix(self, tmp_path, capsys):
-        # select reads each task's rows from the file and train --selection
-        # only the selected bins, so neither allocates the GFV1 body as a
-        # whole; genders alternate and one row in seven has none, so each
-        # task's rows come in short runs
+    def test_select_train_and_predict_never_hold_the_whole_matrix(self, tmp_path, capsys):
+        # select and predict read each task's rows from the file and train
+        # --selection only the selected bins, so none allocates the GFV1
+        # body as a whole; genders alternate and one row in seven has none,
+        # so each task's rows come in short runs
         n, k = 240, 3000
         rng = np.random.default_rng(37)
         features = rng.standard_normal((n, k)).astype(np.float32)
@@ -314,6 +314,8 @@ class TestSelectTrainPredict:
               "--budget", "10"], 2.0),
             (["train", "--manifest", str(man), "--features", feat, "--out", model,
               "--selection", sel], 0.5),
+            (["predict", "--model", model, "--features", feat, "--manifest", str(man),
+              "--out", str(tmp_path / "pred.csv")], 1.0),
         ]
         for argv, bound in runs:
             tracemalloc.start()  # numpy reports its data allocations to it
@@ -543,6 +545,15 @@ class TestErrorContract:
     def test_manifest_not_utf8(self, tmp_path, capsys):
         man = tmp_path / "manifest.csv"
         man.write_bytes(b"path,person_id,age,gender\nface\xff.pgm,p0,20,m\n")
+        self.run_failing(
+            ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")],
+            capsys, "MalformedRow",
+        )
+
+    def test_manifest_field_beyond_csv_limit(self, tmp_path, capsys):
+        man = tmp_path / "manifest.csv"
+        man.write_text(f"path,person_id,age,gender\n{'a' * 200_000}.pgm,p0,20,m\n",
+                       encoding="utf-8")
         self.run_failing(
             ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")],
             capsys, "MalformedRow",

@@ -52,6 +52,12 @@ class TestParseManifest:
         with pytest.raises(MalformedRowError):
             ds.parse_manifest(path)
 
+    def test_field_beyond_csv_limit(self, tmp_path):
+        path = write_manifest_text(tmp_path, HEADER + "a.pgm,p1,5,m\n" + "b" * 200_000 + ",p1,6,f\n")
+        with pytest.raises(MalformedRowError) as exc:
+            ds.parse_manifest(path)
+        assert "line 3" in str(exc.value)
+
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "crlf.csv"
         p.write_bytes(b"path,person_id,age,gender\r\na.pgm,p1,5,m\r\n")

@@ -139,7 +139,10 @@ def test_reader_refuses_a_file_changed_after_it_was_opened(tmp_path, key):
         f[key]
 
 
-def test_reader_refuses_a_body_that_ends_mid_read(tmp_path, monkeypatch):
+@pytest.mark.parametrize("read", [
+    lambda f: f[[0, 39]], lambda f: featfile.read_features(f.path),
+], ids=["FeatureFile", "read_features"])
+def test_reader_refuses_a_body_that_ends_mid_read(tmp_path, monkeypatch, read):
     # the file shrinks between the size check and the read
     f, _, path = reader_and_matrix(tmp_path)
     checked = featfile._open
@@ -151,7 +154,7 @@ def test_reader_refuses_a_body_that_ends_mid_read(tmp_path, monkeypatch):
 
     monkeypatch.setattr(featfile, "_open", check_then_truncate)
     with pytest.raises(TruncatedPixelDataError):
-        f[[0, 39]]
+        read(f)
 
 
 def test_reader_refuses_a_file_rewritten_with_another_shape(tmp_path):

@@ -245,7 +245,7 @@ def fit_bytes(selection, model):
 def test_reader_gives_the_array_fits(tmp_path, monkeypatch):
     # select_bins and train_model, with and without a selection, fit the
     # same bits from a FeatureFile, reading 3 rows a block, as from the
-    # whole array
+    # whole array, and predict_rows gives the same predictions
     manifest, path = interleaved_corpus(tmp_path)
     monkeypatch.setattr(featfile, "BLOCK_BYTES", 3 * 4 * 60)
     full, reader = featfile.read_features(path), featfile.FeatureFile(path)
@@ -255,6 +255,11 @@ def test_reader_gives_the_array_fits(tmp_path, monkeypatch):
         b.lam, b.W.tobytes(), b.selected.tobytes()]
     rows = np.random.default_rng(36).permutation(len(manifest))[:50]
     for selection, fold in ((None, None), (a, None), (None, rows)):
-        got = [fit_bytes(*pipeline.train_model(manifest, x, config, selection, fold))
-               for x in (full, reader)]
-        assert got[0] == got[1]
+        fits = [pipeline.train_model(manifest, x, config, selection, fold)
+                for x in (full, reader)]
+        assert fit_bytes(*fits[0]) == fit_bytes(*fits[1])
+    model = fits[0][1]
+    for man, picked in ((manifest, None), (None, None), (manifest, rows)):
+        want, got = (pipeline.predict_rows(model, x, man, picked).tobytes()
+                     for x in (full, reader))
+        assert want == got

@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glohage import ridge
+from glohage import featfile, ridge
 from glohage.errors import (
     FeatureTooShortError,
     GridEmptyError,
@@ -275,6 +275,28 @@ def test_non_finite_selected_bin_is_rejected():
             ridge.predict(model, Y, "male")
         with pytest.raises(NonFiniteError):
             ridge.predict(model, Y[15], ridge.POOLED)
+
+
+def test_fit_model_reads_a_feature_file_once(tmp_path, monkeypatch):
+    # genders alternate and every fifth row has none, so it is in both
+    # tasks: the male, female and pooled fits take their rows from one
+    # gather and fit the same bits as from the array
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((40, 8)).astype(np.float32)
+    y = rng.integers(10, 60, 40)
+    unknown = set(range(4, 40, 5))
+    rows = {t: sorted({*range(i, 40, 2), *unknown}) for i, t in enumerate(("male", "female"))}
+    path = str(tmp_path / "f.gfv")
+    featfile.write_features(path, X)
+    reads, read = [], featfile.FeatureFile.__getitem__
+    monkeypatch.setattr(featfile.FeatureFile, "__getitem__",
+                        lambda f, key: reads.append(key) or read(f, key))
+    got = ridge.fit_model(featfile.FeatureFile(path), y, rows, [6, 1, 4])
+    want = ridge.fit_model(X, y, rows, [6, 1, 4])
+    assert len(reads) == 1
+    assert (got.clamp, got.alphas, got.intercepts) == (want.clamp, want.alphas, want.intercepts)
+    assert {t: w.tobytes() for t, w in got.weights.items()} == {
+        t: w.tobytes() for t, w in want.weights.items()}
 
 
 def test_model_file_roundtrip(tmp_path):
