@@ -130,9 +130,8 @@ def cmd_extract(args):
     config = build_config(args)
     manifest = ds.parse_manifest(args.manifest)
     base_dir = os.path.dirname(os.path.abspath(args.manifest))
-    feats = pipeline.extract_features(manifest, config, base_dir)
-    featfile.write_features(args.out, feats)
-    print(f"N={feats.shape[0]} K={feats.shape[1]}")
+    n, k = pipeline.extract_features(manifest, args.out, config, base_dir)
+    print(f"N={n} K={k}")
 
 
 def cmd_select(args):

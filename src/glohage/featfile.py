@@ -4,12 +4,20 @@ Binary layout: 4-byte ASCII magic "GFV1", uint32-LE row count N, uint32-LE
 dimension K, then N*K float32-LE values, row-major. Row order matches the
 manifest order used at extraction time.
 
+``write_blocks`` is the one writer of a GFV1 file. It streams blocks of
+rows into a new temporary file beside the target, so the writer never
+holds more than one block, and renames it onto the target only after the
+last row: an error leaves no partial output and an existing target as it
+was. ``write_features`` writes one whole array through it.
+
 ``FeatureFile`` is the one reader of a GFV1 body. It reads on demand: a
 gather of rows, or of (rows, bins), goes straight from the file, so a
 caller that needs only some rows or bins never holds the whole matrix.
 ``read_features`` is its gather of every row, one read of the body.
 """
 
+import errno
+import itertools
 import os
 import struct
 
@@ -28,15 +36,59 @@ BLOCK_BYTES = 1 << 19  # most bytes of whole rows a (rows, bins) gather holds
 
 
 def write_features(path, rows):
-    """Write an (N, K) float array as a GFV1 file."""
-    arr = np.ascontiguousarray(rows, dtype="<f4")
-    if arr.ndim != 2:
-        raise ValueError(f"expected 2-D array, got shape {arr.shape}")
-    n, k = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", n, k))
-        arr.tofile(fh)
+    """Write an (N, K) float array as a GFV1 file (see write_blocks)."""
+    write_blocks(path, [rows])
+
+
+def write_blocks(path, blocks):
+    """Write the rows of ``blocks``, 2-D float arrays of one width K taken
+    one at a time, as a GFV1 file at ``path``; returns (N, K).
+
+    The rows go, as float32, to a new file in the target's directory,
+    created with the permissions any new file gets, and the header goes in
+    last. The file is renamed onto the target (a symlink's target, if it
+    is one) after the last row. Any error, from the file or from
+    ``blocks``, removes it and leaves the target untouched. A target that
+    cannot be written fails before the first block is taken.
+    """
+    target = os.path.realpath(path)
+    if os.path.isdir(target):  # os.replace would refuse it after the last row
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+    tmp, fh = _create_beside(target)
+    try:
+        with fh:
+            fh.write(bytes(HEADER_BYTES))
+            n = k = 0
+            for i, block in enumerate(blocks):
+                arr = np.ascontiguousarray(block, dtype="<f4")
+                if arr.ndim != 2 or (i and arr.shape[1] != k):
+                    raise ValueError(
+                        f"expected 2-D rows of one width, got shape {arr.shape}"
+                    )
+                n, k = n + arr.shape[0], arr.shape[1]
+                fh.write(arr)
+            fh.seek(0)
+            fh.write(MAGIC + struct.pack("<II", n, k))
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return n, k
+
+
+def _create_beside(target):
+    """A new, hidden file in ``target``'s directory: (its path, its binary
+    handle). ``open(..., "xb")`` never reuses a name and keeps the umask's
+    permissions."""
+    head, name = os.path.split(target)
+    for i in itertools.count():
+        tmp = os.path.join(head, f".{name}.{os.getpid()}-{i}.part")
+        try:
+            return tmp, open(tmp, "xb")
+        except FileExistsError:
+            continue
+        except OSError as exc:  # name the file asked for, not the hidden one
+            raise type(exc)(exc.errno, exc.strerror, target) from None
 
 
 def _open(path):

@@ -10,6 +10,7 @@ feature vector. At the default parameters a 68x62 image gives
 """
 
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,9 @@ import numpy as np
 from .errors import ImageTooSmallError
 
 TWO_PI = 2.0 * np.pi
+# per-thread buffers, reused from call to call: extract_gloh keeps its
+# signature, and no thread sees another's buffers
+_per_thread = threading.local()
 
 
 @dataclass(frozen=True)
@@ -54,13 +58,15 @@ class GlohParams:
 
 
 def compute_gradients(img):
-    """Per-pixel gradient magnitude and orientation.
+    """Per-pixel gradient magnitude and orientation of an image, or of each
+    image of a stack.
 
     Central differences on interior pixels, one-sided at the borders
-    (``np.gradient``). Returns (magnitude, orientation) float64 arrays;
-    orientation is the angle of (gx, gy) in [0, 2pi).
+    (``np.gradient`` over the last two axes). Returns (magnitude,
+    orientation) float64 arrays; orientation is the angle of (gx, gy) in
+    [0, 2pi).
     """
-    gy, gx = np.gradient(np.asarray(img, dtype=np.float64))
+    gy, gx = np.gradient(np.asarray(img, dtype=np.float64), axis=(-2, -1))
     magnitude = np.hypot(gx, gy)
     # np.mod(angle, 2pi) bit for bit, -0.0 included; a rounded 2pi wraps to 0
     angle = np.arctan2(gy, gx)
@@ -127,32 +133,61 @@ def _layout(height, width, params):
 
 
 def extract_gloh(img, params=GlohParams()):
-    """Concatenated GLOH feature vector for a whole image.
+    """Concatenated GLOH feature vector for a whole image, or for each image
+    of a stack.
 
+    ``img`` is one (H, W) image, which gives a (K,) vector, or an (M, H, W)
+    stack of images, which gives an (M, K) array. Every step works per
+    pixel, per patch or per histogram bin, so each row has the bits its
+    image gives on its own; a stack only makes fewer, larger numpy calls.
     The patch layout is computed once per (image shape, params) and cached;
-    each image then makes one gather and one bincount. Each patch histogram
+    each call then makes one gather and one bincount. Each patch histogram
     is L2 normalized, clipped at ``clip_threshold`` and renormalized; an
     all-zero patch stays zero. The features are bit-identical to the
     earlier sliding-window extractor, kept in the tests as an oracle. No
     dimensionality reduction is applied.
+
+    Safe to call from several threads at once: the gathers and squares go
+    into buffers each thread keeps for its next call of the same size, so
+    only the returned histograms are a new large array.
     """
     img = np.asarray(img)
-    h, w = img.shape
+    m, h, w = img.reshape(-1, *img.shape[-2:]).shape
     pixel, cell, size = _layout(h, w, params)
+    index, weights, squares = _buffers(m * pixel.size, m * size)
+    index, weights = index.reshape(m, -1), weights.reshape(m, -1)
     magnitude, orientation = compute_gradients(img)
-    obin = _orientation_bins(orientation, params.n_orient).ravel()
-    weights = magnitude.ravel()[pixel]
-    hist = np.bincount(cell + obin[pixel], weights=weights, minlength=size)
+    obin = _orientation_bins(orientation, params.n_orient).reshape(m, -1)
+    # mode="clip" takes straight into ``out``; every pixel index is in range
+    np.take(obin, pixel, axis=1, out=index, mode="clip")
+    index += cell
+    index += np.arange(0, m * size, size)[:, None]  # each image its own bins
+    np.take(magnitude.reshape(m, -1), pixel, axis=1, out=weights, mode="clip")
+    hist = np.bincount(index.ravel(), weights=weights.ravel(), minlength=m * size)
     blocks = hist.reshape(-1, params.per_patch_dim)
-    _normalize_rows(blocks)
+    squares = squares.reshape(blocks.shape)
+    _normalize_rows(blocks, squares)
     if params.clip_threshold is not None:
         np.minimum(blocks, params.clip_threshold, out=blocks)
-        _normalize_rows(blocks)
-    return hist
+        _normalize_rows(blocks, squares)
+    return hist.reshape(*img.shape[:-2], size)
 
 
-def _normalize_rows(blocks):
-    """Divide rows in place by np.linalg.norm's sums; rows of norm 0 by 1.0."""
-    norms = np.sqrt(np.add.reduce(blocks * blocks, axis=1))
+def _buffers(n_pixels, size):
+    """This thread's (index, weight, square) buffers for one call, made
+    anew only when the sizes change."""
+    bufs = getattr(_per_thread, "bufs", None)
+    if bufs is None or bufs[0].size != n_pixels or bufs[2].size != size:
+        bufs = _per_thread.bufs = (
+            np.empty(n_pixels, dtype=np.intp), np.empty(n_pixels), np.empty(size)
+        )
+    return bufs
+
+
+def _normalize_rows(blocks, squares):
+    """Divide rows in place by np.linalg.norm's sums; rows of norm 0 by 1.0.
+    ``squares`` is a work array of the same shape."""
+    np.multiply(blocks, blocks, out=squares)
+    norms = np.sqrt(np.add.reduce(squares, axis=1))
     norms[~(norms > 0)] = 1.0
     blocks /= norms[:, None]

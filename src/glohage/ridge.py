@@ -157,20 +157,32 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
 def predict(model, x, task=POOLED):
     """Clamped ages for one full-length feature vector (a float) or for each
     row of a matrix of them (an array)."""
+    x = np.asarray(x)
+    check_features(model, x.shape[-1], task)
+    # gather the selected bins before the cast: no full-width float64 copy;
+    # a matrix's block comes out in F order
+    pred = predict_selected(model, x[..., model.selected].astype(np.float64), task)
+    return float(pred) if x.ndim == 1 else pred
+
+
+def check_features(model, n_bins, task):
+    """Raise unless ``model`` has a regressor for ``task`` whose selected
+    bins all lie below ``n_bins``."""
     if task not in model.weights:
         raise UnknownTaskError(f"no regressor for task {task!r}")
-    x = np.asarray(x)
-    if model.selected.size and x.shape[-1] <= int(model.selected.max()):
+    if model.selected.size and n_bins <= int(model.selected.max()):
         raise FeatureTooShortError(
-            f"feature length {x.shape[-1]} < required {int(model.selected.max()) + 1}"
+            f"feature length {n_bins} < required {int(model.selected.max()) + 1}"
         )
-    # gather the selected bins before the cast: no full-width float64 copy
-    block = x[..., model.selected].astype(np.float64)
+
+
+def predict_selected(model, block, task):
+    """Clamped ages from ``block``, the float64 selected bins of one row or
+    of each row. The product's last bits depend on the block's memory
+    order, which ``predict`` gives in F order."""
     if not np.all(np.isfinite(block)):
         raise NonFiniteError("non-finite value in a selected bin")
-    raw = block @ model.weights[task]
-    pred = np.clip(raw + model.intercepts[task], *model.clamp)
-    return float(pred) if x.ndim == 1 else pred
+    return np.clip(block @ model.weights[task] + model.intercepts[task], *model.clamp)
 
 
 # --- GLOHRIDGE text serialization ---

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glohage import cli, featfile, pgm
+from glohage import cli, featfile, gloh, pgm, pipeline
 from glohage import dataset as ds
 
 
@@ -23,7 +23,7 @@ def make_image_corpus(tmp_path, n=3):
         img = rng.integers(0, 256, size=(68, 62)).astype(np.uint8)
         pgm.save_pgm(img, str(tmp_path / f"face{i}.pgm"))
         gender = "m" if i % 2 == 0 else "f"
-        lines.append(f"face{i}.pgm,p{i // 2},{20 + i},{gender}")
+        lines.append(f"face{i}.pgm,p{i // 2},{20 + i % 50},{gender}")
     man_path = tmp_path / "manifest.csv"
     man_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return str(man_path)
@@ -108,6 +108,67 @@ class TestExtract:
         )
         # stride 6 on 68x62: 10x9 patches -> 90 * 136 = 12240
         assert capsys.readouterr().out.strip() == "N=3 K=12240"
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_first_failing_row_wins_and_nothing_is_left(self, tmp_path, capsys,
+                                                        monkeypatch, workers):
+        # row 3 has the wrong dimensions and row 10 is missing: whichever
+        # worker fails first, the error is row 3's, as in manifest order
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+        man = make_image_corpus(tmp_path, n=12)
+        pgm.save_pgm(np.zeros((64, 64), dtype=np.uint8), str(tmp_path / "face3.pgm"))
+        (tmp_path / "face10.pgm").unlink()
+        existing = tmp_path / "old.gfv"
+        existing.write_bytes(b"not yet replaced")
+        before = sorted(os.listdir(tmp_path))
+        for out in (tmp_path / "new.gfv", existing):
+            assert cli.main(["extract", "--manifest", man, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("ERROR DimensionMismatch:") and err.count("\n") == 1
+            assert sorted(os.listdir(tmp_path)) == before
+        assert existing.read_bytes() == b"not yet replaced"
+
+    def test_out_naming_a_directory(self, tmp_path, capsys):
+        man = make_image_corpus(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main(["extract", "--manifest", man, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR FileAccess:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def test_output_mode_is_a_new_file_s(self, tmp_path, capsys):
+        man = make_image_corpus(tmp_path)
+        out, plain = tmp_path / "f.gfv", str(tmp_path / "plain.gfv")
+        assert cli.main(["extract", "--manifest", man, "--out", str(out)]) == 0
+        featfile.write_features(plain, np.ones((1, 1)))
+        assert os.stat(out).st_mode == os.stat(plain).st_mode
+
+    def test_same_bytes_at_any_worker_count(self, tmp_path, capsys, monkeypatch):
+        man = make_image_corpus(tmp_path, n=7)
+        imgs = [pgm.load_pgm(str(tmp_path / f"face{i}.pgm")) for i in range(7)]
+        want = tmp_path / "want.gfv"
+        featfile.write_features(str(want), np.stack([gloh.extract_gloh(im) for im in imgs]))
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+            out = tmp_path / f"f{workers}.gfv"
+            assert cli.main(["extract", "--manifest", man, "--out", str(out)]) == 0
+            assert capsys.readouterr().out.strip() == "N=7 K=48960"
+            assert out.read_bytes() == want.read_bytes(), workers
+
+    def test_extract_never_holds_the_whole_matrix(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+        n = 200
+        man = make_image_corpus(tmp_path, n=n)
+        out = str(tmp_path / "f.gfv")
+        tracemalloc.start()  # numpy reports its data allocations to it
+        try:
+            assert cli.main(["extract", "--manifest", man, "--out", out]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        body = 4 * n * 48960
+        assert os.path.getsize(out) == featfile.HEADER_BYTES + body
+        assert peak < 0.25 * body, peak / body
 
 
 class TestSynth:
@@ -292,8 +353,8 @@ class TestSelectTrainPredict:
         assert models[0] == models[1]
 
     def test_select_train_and_predict_never_hold_the_whole_matrix(self, tmp_path, capsys):
-        # select and predict read each task's rows from the file and train
-        # --selection only the selected bins, so none allocates the GFV1
+        # select reads each task's rows from the file, and train --selection
+        # and predict only the selected bins, so none allocates the GFV1
         # body as a whole; genders alternate and one row in seven has none,
         # so each task's rows come in short runs
         n, k = 240, 3000
@@ -315,7 +376,9 @@ class TestSelectTrainPredict:
             (["train", "--manifest", str(man), "--features", feat, "--out", model,
               "--selection", sel], 0.5),
             (["predict", "--model", model, "--features", feat, "--manifest", str(man),
-              "--out", str(tmp_path / "pred.csv")], 1.0),
+              "--out", str(tmp_path / "pred.csv")], 0.5),
+            (["predict", "--model", model, "--features", feat,
+              "--out", str(tmp_path / "pooled.csv")], 0.5),
         ]
         for argv, bound in runs:
             tracemalloc.start()  # numpy reports its data allocations to it

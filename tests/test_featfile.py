@@ -169,3 +169,66 @@ def test_reader_takes_only_rows_or_an_ix_pair(tmp_path, key):
     f, _, _ = reader_and_matrix(tmp_path)
     with pytest.raises(IndexError):
         f[key]
+
+
+def test_blocks_write_the_bytes_of_the_whole_array(tmp_path):
+    rows = np.random.default_rng(4).standard_normal((9, 5))
+    whole = write_rows(tmp_path, rows)
+    blocks = str(tmp_path / "blocks.gfv")
+    parts = (rows[a:b] for a, b in [(0, 1), (1, 1), (1, 6), (6, 9)])
+    assert featfile.write_blocks(blocks, parts) == (9, 5)
+    assert Path(blocks).read_bytes() == Path(whole).read_bytes()
+    assert featfile.write_blocks(blocks, [np.zeros((0, 3))]) == (0, 3)
+    assert featfile.read_features(blocks).shape == (0, 3)
+
+
+def failing_blocks(rows, exc):
+    yield rows
+    raise exc
+
+
+@pytest.mark.parametrize("blocks", [
+    lambda: failing_blocks(np.ones((2, 4)), OSError("disk full")),
+    lambda: [np.ones((2, 4)), np.ones((1, 5))],
+    lambda: [np.ones(4)],
+], ids=["error", "width", "ndim"])
+def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, blocks):
+    path = write_rows(tmp_path, np.arange(6.0).reshape(2, 3))
+    before = Path(path).read_bytes()
+    with pytest.raises((OSError, ValueError)):
+        featfile.write_blocks(path, blocks())
+    assert Path(path).read_bytes() == before
+    assert os.listdir(tmp_path) == ["f.gfv"]
+    with pytest.raises((OSError, ValueError)):
+        featfile.write_blocks(str(tmp_path / "new.gfv"), blocks())
+    assert os.listdir(tmp_path) == ["f.gfv"]
+
+
+def test_a_written_file_gets_a_new_file_s_mode(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "wb"):
+        pass
+    path = write_rows(tmp_path, np.ones((2, 2)))
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
+    os.chmod(path, 0o600)  # a new file replaces the old one, mode and all
+    write_rows(tmp_path, np.ones((2, 2)))
+    assert os.stat(path).st_mode == os.stat(plain).st_mode
+
+
+def test_a_symlink_is_written_through(tmp_path):
+    real = write_rows(tmp_path, np.ones((1, 2)))
+    link = tmp_path / "link.gfv"
+    link.symlink_to(real)
+    featfile.write_features(str(link), np.zeros((3, 2)))
+    assert link.is_symlink()
+    assert featfile.read_features(real).shape == (3, 2)
+
+
+def test_a_directory_target_fails_before_any_block(tmp_path):
+    def blocks():
+        raise AssertionError("a block was taken")
+        yield
+
+    with pytest.raises(IsADirectoryError):
+        featfile.write_blocks(str(tmp_path), blocks())
+    assert os.listdir(tmp_path) == []

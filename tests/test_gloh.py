@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -234,6 +237,21 @@ class TestExtract:
                 ref = oracles.extract_gloh_windows(img, params)
                 assert same_bits(v, ref), (shape, name)
 
+    @pytest.mark.parametrize("params", GEOMETRIES)
+    def test_a_stack_has_each_image_s_bits(self, params):
+        for shape in SHAPES[:4]:
+            if min(shape) < params.patch_size:
+                continue
+            images = list(bit_images(shape).values())
+            rows = gloh.extract_gloh(np.stack(images), params)
+            assert rows.shape[0] == len(images)
+            for row, img in zip(rows, images):
+                assert same_bits(row, gloh.extract_gloh(img, params)), shape
+            mag, ori = gloh.compute_gradients(np.stack(images))
+            for i, img in enumerate(images):
+                m, o = gloh.compute_gradients(img)
+                assert same_bits(mag[i], m) and same_bits(ori[i], o), shape
+
     def test_layout_is_cached_read_only(self):
         a = gloh._layout(31, 25, DEFAULTS)
         assert gloh._layout(31, 25, GlohParams()) is a
@@ -251,6 +269,33 @@ class TestExtract:
             v = gloh.extract_gloh(rand_image((h, w), seed=int(rng.integers(1e6))))
             expected = len(gloh.patch_grid(h, w, DEFAULTS)) * 136
             assert v.shape == (expected,)
+
+
+def test_threads_keep_their_own_buffers():
+    # more threads than cores, switching often: every vector keeps the
+    # bits of a one-thread extraction, which a buffer shared between
+    # threads would break; the last images have another shape, so each
+    # thread makes its buffers again
+    images = [rand_image(SHAPES[i // 80], seed=i) for i in range(88)]
+    want = [gloh.extract_gloh(img) for img in images]
+    got = [None] * len(images)
+
+    def work(start):
+        for i in range(start, len(images), 4):
+            got[i] = gloh.extract_gloh(images[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(g is not None and same_bits(g, w) for g, w in zip(got, want))
 
 
 def test_params_validation():

@@ -1,5 +1,7 @@
 import dataclasses
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +181,35 @@ def test_predict_rows_gives_each_row_its_task():
     assert pipeline.predict_rows(model, features, manifest, []).shape == (0,)
 
 
+def test_predict_rows_has_the_bits_of_ridge_predict(tmp_path):
+    # predict_rows gathers only the selected bins, from an array or the
+    # file; each task's predictions keep the bits ridge.predict gives for
+    # that task's full-width rows, whose product rounds by memory order
+    rng = np.random.default_rng(31)
+    n, k = 90, 64
+    features = rng.standard_normal((n, k)).astype(np.float32)
+    genders = [(ds.MALE, ds.FEMALE, ds.UNKNOWN)[i % 3] for i in range(n)]
+    manifest = ds.Manifest(
+        [ds.Sample(f"synthetic:{i}", f"p{i}", 30, g) for i, g in enumerate(genders)]
+    )
+    model = ridge.RidgeModel(selected=np.sort(rng.choice(k, 23, replace=False)),
+                             clamp=(-1e9, 1e9))
+    for task in (ds.MALE, ds.FEMALE, ridge.POOLED):
+        model.weights[task] = rng.standard_normal(23)
+        model.intercepts[task] = float(rng.standard_normal())
+    path = str(tmp_path / "f.gfv")
+    featfile.write_features(path, features)
+    own = {ds.MALE: ds.MALE, ds.FEMALE: ds.FEMALE, ds.UNKNOWN: ridge.POOLED}
+    for source in (features, featfile.FeatureFile(path)):
+        preds = pipeline.predict_rows(model, source, manifest)
+        for gender, task in own.items():
+            rows = [i for i in range(n) if genders[i] == gender]
+            want = ridge.predict(model, features[rows], task)
+            assert preds[rows].tobytes() == want.tobytes()
+        pooled = ridge.predict(model, features, ridge.POOLED)
+        assert pipeline.predict_rows(model, source).tobytes() == pooled.tobytes()
+
+
 @pytest.mark.parametrize(
     "settings, key, value",
     [
@@ -263,3 +294,19 @@ def test_reader_gives_the_array_fits(tmp_path, monkeypatch):
         want, got = (pipeline.predict_rows(model, x, man, picked).tobytes()
                      for x in (full, reader))
         assert want == got
+
+
+def test_extraction_pool_has_one_thread_per_usable_cpu(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert pipeline._usable_cpus() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert pipeline._usable_cpus() == (os.cpu_count() or 1)
+
+
+def test_only_extraction_imports_the_thread_pool():
+    # the pool costs memory and start-up time that no other command needs
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys; import glohage.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
