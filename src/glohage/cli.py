@@ -170,7 +170,7 @@ def cmd_predict(args):
 def cmd_evaluate(args):
     config = build_config(args)
     manifest = ds.parse_manifest(args.manifest)
-    features = featfile.read_features(args.features)
+    features = featfile.FeatureFile(args.features)  # each fold reads its rows
     report = pipeline.evaluate_lopo(manifest, features, config)
     if args.out:
         metrics.write_report(args.out, report)

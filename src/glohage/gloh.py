@@ -64,9 +64,13 @@ def compute_gradients(img):
     Central differences on interior pixels, one-sided at the borders
     (``np.gradient`` over the last two axes). Returns (magnitude,
     orientation) float64 arrays; orientation is the angle of (gx, gy) in
-    [0, 2pi).
+    [0, 2pi). Images under 2x2 raise ImageTooSmallError.
     """
-    gy, gx = np.gradient(np.asarray(img, dtype=np.float64), axis=(-2, -1))
+    img = np.asarray(img, dtype=np.float64)
+    if img.ndim < 2 or min(img.shape[-2:]) < 2:  # np.gradient needs 2 per axis
+        shape = "x".join(map(str, img.shape[-2:]))
+        raise ImageTooSmallError(f"image {shape} smaller than 2x2: no gradient")
+    gy, gx = np.gradient(img, axis=(-2, -1))
     magnitude = np.hypot(gx, gy)
     # np.mod(angle, 2pi) bit for bit, -0.0 included; a rounded 2pi wraps to 0
     angle = np.arctan2(gy, gx)

@@ -73,10 +73,9 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
     matrix is never held. Each row is computed on its own, so the file has
     the same bytes for any number of threads. The rows are awaited in
     order, so a failure raises the first failing row's error, and then no
-    file is written.
+    file is written. With one worker the rows are computed on the calling
+    thread, and no pool is made.
     """
-    from concurrent.futures import ThreadPoolExecutor  # only extraction needs it
-
     from .pgm import check_dims, load_pgm
 
     if not manifest.samples:
@@ -85,13 +84,18 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
     step = IMAGES_PER_TASK
     tasks = [paths[a : a + step] for a in range(0, len(paths), step)]
     workers = min(_usable_cpus(), len(tasks))
-    todo = iter(tasks)
 
     def rows(image_paths):
         imgs = np.stack(
             [check_dims(load_pgm(p), config.height, config.width) for p in image_paths]
         )
         return gloh_mod.extract_gloh(imgs, config.gloh).astype(np.float32)
+
+    if workers == 1:
+        return featfile.write_blocks(path, map(rows, tasks))
+    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+
+    todo = iter(tasks)
 
     def blocks(pool):
         pending = deque(pool.submit(rows, p) for p in itertools.islice(todo, workers))
@@ -110,21 +114,79 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
         pool.shutdown(cancel_futures=True)
 
 
+class _Rows:
+    """Rows of a feature source as ``select_bins``, ``ridge.fit_model`` and
+    ``predict_rows`` read them: ``.shape``, ``v[rows]`` and
+    ``v[np.ix_(rows, bins)]``.
+
+    Row i is row ``index[i]`` of ``source``, an (N, K) array or a
+    ``featfile.FeatureFile``. With ``mean`` and ``std`` every block returned
+    is ``(block - mean[bins]) / std[bins]``, elementwise in the source's
+    dtype, so an element has the same bits whichever rows and bins are
+    gathered with it. The view keeps each row block it returns, and a
+    (rows, bins) gather of rows that those blocks hold is cut from them
+    instead of read again: a fold's ridge fits take the rows its selection
+    has read.
+    """
+
+    def __init__(self, source, index, mean=None, std=None):
+        self.source, self.index, self.mean, self.std = source, index, mean, std
+        self.shape = (len(index), source.shape[1])
+        self._blocks = []
+        self._block_of = np.full(len(index), -1)  # view row -> kept block
+        self._row_in = np.zeros(len(index), dtype=np.intp)  # -> its row there
+
+    def fresh(self, mean=None, std=None):
+        """The same rows, scaled by ``mean`` and ``std`` if given, in a new
+        view that keeps no block yet."""
+        return _Rows(self.source, self.index, mean, std)
+
+    def __getitem__(self, key):
+        if not isinstance(key, tuple):
+            rows = np.asarray(key, dtype=np.intp)
+            block = self._scaled(self.source[self.index[rows]], slice(None))
+            self._block_of[rows] = len(self._blocks)
+            self._row_in[rows] = np.arange(len(rows))
+            self._blocks.append(block)
+            return block
+        rows, bins = np.asarray(key[0])[:, 0], np.asarray(key[1])[0]
+        kept = self._block_of[rows]
+        if len(rows) == 0 or (kept < 0).any():
+            return self._scaled(self.source[np.ix_(self.index[rows], bins)], bins)
+        out = np.empty((len(rows), len(bins)), dtype=self._blocks[0].dtype)
+        for b in np.unique(kept):
+            at = kept == b
+            out[at] = self._blocks[b][np.ix_(self._row_in[rows[at]], bins)]
+        return out
+
+    def _scaled(self, block, bins):
+        if self.mean is not None:  # in place: the same bits as out of place
+            block -= self.mean[bins]
+            block /= self.std[bins]
+        return block
+
+
 def _filter_age_range(manifest, features, age_range):
-    if age_range is None:
-        return manifest, features
-    lo, hi = age_range
-    keep = [i for i, s in enumerate(manifest.samples) if lo <= s.age <= hi]
-    return ds.Manifest([manifest.samples[i] for i in keep]), features[keep]
+    """The manifest rows whose age lies in ``age_range`` (every row if it
+    is None), and a ``_Rows`` view of their features."""
+    keep = range(len(manifest.samples))
+    if age_range is not None:
+        lo, hi = age_range
+        keep = [i for i, s in enumerate(manifest.samples) if lo <= s.age <= hi]
+        manifest = ds.Manifest([manifest.samples[i] for i in keep])
+    return manifest, _Rows(features, np.asarray(keep, dtype=np.intp))
 
 
 def _standardized(features, train_rows):
-    train = features[train_rows]
+    """``features``, a ``_Rows`` view, standardized by the mean and std of
+    its ``train_rows``: a new view that scales only the blocks it returns.
+    The training rows are read whole, once, for their statistics."""
+    train = features.source[features.index[train_rows]]
     mean = train.mean(axis=0)
     std = train.std(axis=0)
     # a constant bin's float32 std can be rounding noise instead of 0: both get 1
     std[(std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
-    return (features - mean) / std
+    return features.fresh(mean, std)
 
 
 def select_bins(manifest, features, config=RunConfig(), rows=None):
@@ -191,20 +253,30 @@ def predict_rows(model, features, manifest=None, rows=None):
 
 
 def evaluate_lopo(manifest, features, config=RunConfig()):
-    """Leave-one-person-out evaluation of the full selection+ridge pipeline."""
-    features = np.asarray(features)
+    """Leave-one-person-out evaluation of the full selection+ridge pipeline.
+
+    ``features`` is an (N, K) array or a ``featfile.FeatureFile``; the
+    whole matrix is never copied. ``config.age_range`` keeps rows by index.
+    Each fold reads its task rows once for the selection, and its ridge
+    fits cut their selected bins from those rows; the held-out rows' bins
+    are read for the predictions. With ``config.standardize`` the fold's
+    training rows are read once more for their mean and std, and only the
+    blocks the fold reads are standardized, with the bits a standardized
+    copy of the whole matrix would give.
+    """
     ds.check_row_count(manifest, features)
-    manifest, features = _filter_age_range(manifest, features, config.age_range)
+    manifest, view = _filter_age_range(manifest, features, config.age_range)
     folds = ds.split_lopo(manifest)
     results = []
     for fold in folds:
+        # a new view each fold keeps only this fold's task rows, and is
+        # dropped before the next fold reads its training rows
         feats = (
-            _standardized(features, fold.train_rows)
-            if config.standardize
-            else features
+            _standardized(view, fold.train_rows) if config.standardize else view.fresh()
         )
         _, model = train_model(manifest, feats, config, rows=fold.train_rows)
         preds = predict_rows(model, feats, manifest, fold.test_rows)
+        del feats
         truth = np.array(
             [manifest.samples[r].age for r in fold.test_rows], dtype=np.float64
         )
@@ -233,7 +305,6 @@ def synth_dataset(spec, out_dir):
     genders = [ds.MALE, ds.FEMALE] + [ds.UNKNOWN] * max(0, spec.L - 2)
     idx = 0
     for l, d in enumerate(data):
-        featfile.write_features(os.path.join(out_dir, f"features_task{l}.gfv"), d.X)
         for i in range(d.n):
             age = int(round(offset + scale * float(d.y[i])))
             age = min(max(age, 0), ds.MAX_AGE)

@@ -128,6 +128,22 @@ class TestExtract:
             assert sorted(os.listdir(tmp_path)) == before
         assert existing.read_bytes() == b"not yet replaced"
 
+    def test_image_one_pixel_high(self, tmp_path, capsys):
+        # the geometry fits a 1x62 image, but its gradient needs two rows
+        pgm.save_pgm(np.zeros((1, 62), dtype=np.uint8), str(tmp_path / "thin.pgm"))
+        man = tmp_path / "manifest.csv"
+        man.write_text("path,person_id,age,gender\nthin.pgm,p0,30,m\n", encoding="utf-8")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("patch_size = 1\nradii = 0.25,0.5,1\nheight = 1\n",
+                       encoding="utf-8")
+        before = sorted(os.listdir(tmp_path))
+        argv = ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv"),
+                "--config", str(cfg)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR ImageTooSmall:") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_out_naming_a_directory(self, tmp_path, capsys):
         man = make_image_corpus(tmp_path)
         before = sorted(os.listdir(tmp_path))
@@ -188,12 +204,18 @@ class TestSynth:
         truth = [ln for ln in text_lines(out, "truth.txt") if ln[0].isdigit()]
         assert len(truth) == 6
 
-    def test_per_task_feature_files(self, tmp_path):
+    def test_one_feature_file_holds_every_task(self, tmp_path):
+        # features.gfv is each task's rows, task after task, and nothing
+        # else is written
         out = str(tmp_path / "s")
-        cli.main(["synth", "--out-dir", out, "--k", "8", "--n", "5", "--support", "2"])
-        for l in range(2):
-            f = featfile.read_features(os.path.join(out, f"features_task{l}.gfv"))
-            assert f.shape == (5, 8)
+        cli.main(["synth", "--out-dir", out, "--k", "8", "--n", "5", "--support", "2",
+                  "--tasks", "3"])
+        assert sorted(os.listdir(out)) == ["features.gfv", "manifest.csv", "truth.txt"]
+        data, _, _ = ds.synth_generate(ds.SynthSpec(K=8, L=3, N=5, support_size=2))
+        f = featfile.read_features(os.path.join(out, "features.gfv"))
+        assert f.shape == (15, 8)
+        for l, d in enumerate(data):
+            assert np.array_equal(f[5 * l : 5 * l + 5], d.X.astype(np.float32))
 
 
 class TestEvaluate:
@@ -262,6 +284,34 @@ class TestEvaluate:
              "--budget", "5", "--standardize"]
         )
         assert rc == 0
+
+    def test_evaluate_never_copies_the_whole_matrix(self, tmp_path, capsys):
+        # each fold reads its task rows from the file, and standardizes only
+        # the rows it reads, so neither run holds a copy of the GFV1 body
+        # beside the fold's own rows
+        n, k = 100, 4896
+        rng = np.random.default_rng(38)
+        features = rng.standard_normal((n, k)).astype(np.float32)
+        lines = ["path,person_id,age,gender"]
+        for i, x in enumerate(features):
+            age = int(np.clip(round(35 + 6 * x[5] - 5 * x[1632] + 4 * x[2448]), 0, 90))
+            lines.append(f"synthetic:{i},p{i // 10},{age},{'mf'[i // 10 % 2]}")
+        man, feat = tmp_path / "manifest.csv", str(tmp_path / "features.gfv")
+        man.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        featfile.write_features(feat, features)
+        del features
+        body = 4 * n * k
+        for extra in ([], ["--standardize"]):
+            argv = ["evaluate", "--manifest", str(man), "--features", feat,
+                    "--out", str(tmp_path / "report.csv"), "--budget", "10", *extra]
+            tracemalloc.start()  # numpy reports its data allocations to it
+            try:
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2.5 * body, (extra, peak / body)
+            assert len(text_lines(tmp_path, "report.csv")) == 2 + 16 + 10  # 10 folds
 
 
 class TestSelectTrainPredict:
@@ -399,6 +449,18 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR {code}:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage, code", [
+        (lambda body: b"GFV2" + body[4:], "MalformedHeader"),
+        (lambda body: body[:7], "MalformedHeader"),
+        (lambda body: body[:-4], "TruncatedPixelData"),
+        (lambda body: body + bytes(4), "TrailingData"),
+    ])
+    def test_evaluate_damaged_feature_file(self, tmp_path, capsys, damage, code):
+        man, feat = make_feature_corpus(tmp_path)
+        Path(feat).write_bytes(damage(Path(feat).read_bytes()))
+        self.run_failing(["evaluate", "--manifest", man, "--features", feat],
+                         capsys, code)
 
     def test_non_integer_budget_in_config(self, tmp_path, capsys):
         man, feat = make_feature_corpus(tmp_path)

@@ -56,6 +56,15 @@ def same_bits(a, b):
 
 
 class TestGradients:
+    @pytest.mark.parametrize("shape", [(1, 62), (62, 1), (1, 1), (3, 1, 62), (62,)])
+    def test_under_two_by_two_is_too_small(self, shape):
+        with pytest.raises(ImageTooSmallError):
+            gloh.compute_gradients(np.zeros(shape))
+
+    def test_two_by_two_has_a_gradient(self):
+        mag, _ = gloh.compute_gradients(np.array([[0, 1], [0, 1]]))
+        assert np.array_equal(mag, np.ones((2, 2)))
+
     def test_constant_image_zero_magnitude(self):
         mag, _ = gloh.compute_gradients(np.full((12, 12), 77, dtype=np.uint8))
         assert np.all(mag == 0)

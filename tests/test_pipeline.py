@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from glohage import dataset as ds
-from glohage import featfile, mtl, pipeline, ridge
+from glohage import featfile, metrics, mtl, pipeline, ridge
 
 
 def synth_corpus(tmp_path, seed=5):
@@ -44,7 +44,8 @@ def test_one_selection_and_one_partition_per_fold(tmp_path, monkeypatch):
 def test_no_held_out_row_reaches_a_fold_fit(
     tmp_path, monkeypatch, standardize, age_range
 ):
-    manifest, features = synth_corpus(tmp_path)
+    manifest, _ = synth_corpus(tmp_path)
+    features = featfile.FeatureFile(os.path.join(tmp_path, "features.gfv"))
     parts = recording(monkeypatch, ds, "task_rows")
     fits = recording(monkeypatch, mtl, "fit_for_budget")
     config = pipeline.RunConfig(budget=8, standardize=standardize, age_range=age_range)
@@ -151,7 +152,8 @@ def test_standardized_constant_bin_keeps_its_scale():
     train = features[:195]
     mean, std = train.mean(axis=0), train.std(axis=0)
     assert std[1] > 0
-    out = pipeline._standardized(features, np.arange(195))
+    view = pipeline._Rows(features, np.arange(196))
+    out = pipeline._standardized(view, np.arange(195))[np.arange(196)]
     assert np.array_equal(out[:, 1], features[:, 1] - mean[1])
     assert abs(out[195, 1] - 0.1) < 1e-6
     for k in (0, 2):
@@ -310,3 +312,84 @@ def test_only_extraction_imports_the_thread_pool():
             "sys.exit('concurrent.futures' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def whole_matrix_lopo(manifest, features, config):
+    """The reference LOPO on the whole matrix in memory: the age filter
+    and each fold's standardization make new matrices."""
+    if config.age_range is not None:
+        lo, hi = config.age_range
+        keep = [i for i, s in enumerate(manifest.samples) if lo <= s.age <= hi]
+        manifest = ds.Manifest([manifest.samples[i] for i in keep])
+        features = features[keep]
+    results = []
+    for fold in ds.split_lopo(manifest):
+        feats = features
+        if config.standardize:
+            train = features[fold.train_rows]
+            mean, std = train.mean(axis=0), train.std(axis=0)
+            std[(std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
+            feats = (features - mean) / std
+        _, model = pipeline.train_model(manifest, feats, config, rows=fold.train_rows)
+        preds = pipeline.predict_rows(model, feats, manifest, fold.test_rows)
+        truth = np.array([manifest.samples[r].age for r in fold.test_rows], dtype=float)
+        results.append((fold.held_out_person, preds, truth))
+    return metrics.aggregate(results, config.cs_max)
+
+
+@pytest.mark.parametrize(
+    "standardize, age_range",
+    [(False, None), (True, None), (True, (10, 50)), (False, (10, 50))],
+)
+def test_file_backed_lopo_has_the_whole_matrix_bits(
+    tmp_path, monkeypatch, standardize, age_range
+):
+    # every fold's lambda, bins, W and ridge fits, and the report, are the
+    # bits of the whole-matrix run, reading the file 3 rows a block
+    manifest, path = interleaved_corpus(tmp_path)
+    monkeypatch.setattr(featfile, "BLOCK_BYTES", 3 * 4 * 60)
+    config = pipeline.RunConfig(budget=5, standardize=standardize, age_range=age_range)
+    train = pipeline.train_model
+
+    def run(evaluate, features):
+        fits = []
+
+        def spy(*args, **kwargs):
+            selection, model = train(*args, **kwargs)
+            fits.append(fit_bytes(selection, model))
+            return selection, model
+
+        monkeypatch.setattr(pipeline, "train_model", spy)
+        report = evaluate(manifest, features, config)
+        monkeypatch.setattr(pipeline, "train_model", train)
+        return fits, metrics.format_report(report)
+
+    want = run(whole_matrix_lopo, featfile.read_features(path))
+    got = run(pipeline.evaluate_lopo, featfile.FeatureFile(path))
+    kept = [s for s in manifest.samples if age_range is None or 10 <= s.age <= 50]
+    assert len(want[0]) == len({s.person_id for s in kept}) > 10
+    assert got == want
+
+
+@pytest.mark.parametrize("standardize", [False, True])
+def test_each_fold_reads_its_rows_once(tmp_path, monkeypatch, standardize):
+    # a fold reads its task rows for the selection, which its ridge fits
+    # reuse, and its held-out rows for the predictions; standardizing adds
+    # one read of its training rows for their statistics
+    manifest, path = interleaved_corpus(tmp_path)
+    reads = []
+    read = featfile.FeatureFile._read
+
+    def counted(self, fh, rows, out):
+        reads.append(len(rows))
+        return read(self, fh, rows, out)
+
+    monkeypatch.setattr(featfile.FeatureFile, "_read", counted)
+    config = pipeline.RunConfig(budget=5, standardize=standardize)
+    pipeline.evaluate_lopo(manifest, featfile.FeatureFile(path), config)
+    want = 0
+    for fold in ds.split_lopo(manifest):
+        tasks = ds.task_rows(fold.train_rows, manifest)
+        want += sum(map(len, tasks.values())) + len(fold.test_rows)
+        want += len(fold.train_rows) if standardize else 0
+    assert sum(reads) == want
