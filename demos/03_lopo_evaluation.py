@@ -13,10 +13,10 @@ with tempfile.TemporaryDirectory(prefix="glohage_demo_") as work:
     manifest = pipeline.synth_dataset(spec, work)
     print(f"synthetic corpus: {len(manifest.samples)} samples, "
           f"{len(ds.split_lopo(manifest))} persons -> {work}")
-    features = featfile.read_features(os.path.join(work, "features.gfv"))
-
-config = pipeline.RunConfig(budget=20)
-report = pipeline.evaluate_lopo(manifest, features, config)
+    # each fold reads its rows from the GFV1 file, as `glohage evaluate` does
+    features = featfile.FeatureFile(os.path.join(work, "features.gfv"))
+    config = pipeline.RunConfig(budget=20)
+    report = pipeline.evaluate_lopo(manifest, features, config)
 
 print(f"\npooled MAE: {report.mae:.3f} years over {report.n} test samples")
 print(f"abs-error std: {report.err_std:.3f}")

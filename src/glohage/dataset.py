@@ -105,19 +105,21 @@ def write_manifest(path, manifest):
             )
 
 
-def split_lopo(manifest):
-    """One fold per person, ordered by first appearance in the manifest."""
-    persons = []
-    for s in manifest.samples:
-        if s.person_id not in persons:
-            persons.append(s.person_id)
+def split_lopo(manifest, rows=None):
+    """One fold per person among the manifest ``rows`` (default: every
+    row), ordered by first appearance in them. A fold's train and test
+    rows are manifest rows, in the order of ``rows``."""
+    rows = np.arange(len(manifest)) if rows is None else np.asarray(rows, dtype=np.intp)
+    ids = [manifest.samples[r].person_id for r in rows]
+    persons = list(dict.fromkeys(ids))
     if len(persons) < 2:
-        raise SinglePersonError("leave-one-person-out needs at least 2 persons")
-    all_rows = np.arange(len(manifest.samples))
+        raise SinglePersonError(
+            f"leave-one-person-out needs at least 2 persons, the rows hold {len(persons)}"
+        )
     folds = []
     for person in persons:
-        mask = np.array([s.person_id == person for s in manifest.samples])
-        folds.append(Fold(person, all_rows[~mask], all_rows[mask]))
+        mask = np.array([i == person for i in ids])
+        folds.append(Fold(person, rows[~mask], rows[mask]))
     return folds
 
 

@@ -115,36 +115,22 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
 
 
 class _Rows:
-    """Rows of a feature source as ``select_bins``, ``ridge.fit_model`` and
-    ``predict_rows`` read them: ``.shape``, ``v[rows]`` and
-    ``v[np.ix_(rows, bins)]``.
+    """``source``, an (N, K) array or a ``featfile.FeatureFile``, read
+    through a cache: its ``.shape``, ``v[rows]`` and ``v[np.ix_(rows,
+    bins)]``. The view keeps each row block it returns, and a (rows, bins)
+    gather of rows that those blocks hold is cut from them instead of read
+    again."""
 
-    Row i is row ``index[i]`` of ``source``, an (N, K) array or a
-    ``featfile.FeatureFile``. With ``mean`` and ``std`` every block returned
-    is ``(block - mean[bins]) / std[bins]``, elementwise in the source's
-    dtype, so an element has the same bits whichever rows and bins are
-    gathered with it. The view keeps each row block it returns, and a
-    (rows, bins) gather of rows that those blocks hold is cut from them
-    instead of read again: a fold's ridge fits take the rows its selection
-    has read.
-    """
-
-    def __init__(self, source, index, mean=None, std=None):
-        self.source, self.index, self.mean, self.std = source, index, mean, std
-        self.shape = (len(index), source.shape[1])
+    def __init__(self, source):
+        self.source, self.shape = source, source.shape
         self._blocks = []
-        self._block_of = np.full(len(index), -1)  # view row -> kept block
-        self._row_in = np.zeros(len(index), dtype=np.intp)  # -> its row there
-
-    def fresh(self, mean=None, std=None):
-        """The same rows, scaled by ``mean`` and ``std`` if given, in a new
-        view that keeps no block yet."""
-        return _Rows(self.source, self.index, mean, std)
+        self._block_of = np.full(source.shape[0], -1)  # row -> kept block
+        self._row_in = np.zeros(source.shape[0], dtype=np.intp)  # -> its row there
 
     def __getitem__(self, key):
         if not isinstance(key, tuple):
             rows = np.asarray(key, dtype=np.intp)
-            block = self._scaled(self.source[self.index[rows]], slice(None))
+            block = self.source[rows]
             self._block_of[rows] = len(self._blocks)
             self._row_in[rows] = np.arange(len(rows))
             self._blocks.append(block)
@@ -152,41 +138,38 @@ class _Rows:
         rows, bins = np.asarray(key[0])[:, 0], np.asarray(key[1])[0]
         kept = self._block_of[rows]
         if len(rows) == 0 or (kept < 0).any():
-            return self._scaled(self.source[np.ix_(self.index[rows], bins)], bins)
+            return self.source[key]
         out = np.empty((len(rows), len(bins)), dtype=self._blocks[0].dtype)
         for b in np.unique(kept):
             at = kept == b
             out[at] = self._blocks[b][np.ix_(self._row_in[rows[at]], bins)]
         return out
 
-    def _scaled(self, block, bins):
-        if self.mean is not None:  # in place: the same bits as out of place
-            block -= self.mean[bins]
-            block /= self.std[bins]
-        return block
 
+class _Scaled:
+    """``source`` standardized as it is read: a gather returns a new
+    ``(block - mean[bins]) / std[bins]``, elementwise in the source's
+    dtype, so an element has the same bits whichever rows and bins come
+    with it."""
 
-def _filter_age_range(manifest, features, age_range):
-    """The manifest rows whose age lies in ``age_range`` (every row if it
-    is None), and a ``_Rows`` view of their features."""
-    keep = range(len(manifest.samples))
-    if age_range is not None:
-        lo, hi = age_range
-        keep = [i for i, s in enumerate(manifest.samples) if lo <= s.age <= hi]
-        manifest = ds.Manifest([manifest.samples[i] for i in keep])
-    return manifest, _Rows(features, np.asarray(keep, dtype=np.intp))
+    def __init__(self, source, mean, std):
+        self.source, self.shape, self.mean, self.std = source, source.shape, mean, std
+
+    def __getitem__(self, key):
+        bins = np.asarray(key[1])[0] if isinstance(key, tuple) else slice(None)
+        return (self.source[key] - self.mean[bins]) / self.std[bins]
 
 
 def _standardized(features, train_rows):
-    """``features``, a ``_Rows`` view, standardized by the mean and std of
-    its ``train_rows``: a new view that scales only the blocks it returns.
-    The training rows are read whole, once, for their statistics."""
-    train = features.source[features.index[train_rows]]
+    """``features`` standardized by the mean and std of its ``train_rows``:
+    a ``_Scaled`` view that scales only the blocks it returns. The
+    training rows are read whole, once, for their statistics."""
+    train = features[train_rows]
     mean = train.mean(axis=0)
     std = train.std(axis=0)
     # a constant bin's float32 std can be rounding noise instead of 0: both get 1
     std[(std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
-    return features.fresh(mean, std)
+    return _Scaled(features, mean, std)
 
 
 def select_bins(manifest, features, config=RunConfig(), rows=None):
@@ -213,11 +196,13 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
     regressors, each fit on its task's rows of the selected bins.
 
     ``features`` is an (N, K) array or a ``featfile.FeatureFile``, as in
-    ``select_bins``."""
+    ``select_bins``. A selection run here reads the task rows through a
+    ``_Rows`` cache, and the ridge fits cut their bins from those rows."""
     ds.check_row_count(manifest, features)
     if rows is None:
         rows = range(len(manifest.samples))
     if selection is None:
+        features = _Rows(features)
         selection = select_bins(manifest, features, config, rows)
     ages = [s.age for s in manifest.samples]
     model = ridge.fit_model(
@@ -256,27 +241,26 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
     """Leave-one-person-out evaluation of the full selection+ridge pipeline.
 
     ``features`` is an (N, K) array or a ``featfile.FeatureFile``; the
-    whole matrix is never copied. ``config.age_range`` keeps rows by index.
-    Each fold reads its task rows once for the selection, and its ridge
-    fits cut their selected bins from those rows; the held-out rows' bins
-    are read for the predictions. With ``config.standardize`` the fold's
-    training rows are read once more for their mean and std, and only the
-    blocks the fold reads are standardized, with the bits a standardized
-    copy of the whole matrix would give.
+    whole matrix is never copied. The folds are cut from the manifest rows,
+    which are the feature rows, whose age lies in ``config.age_range``.
+    Each fold reads its task rows once in ``train_model``, and its held-out
+    rows' selected bins for the predictions. With ``config.standardize``
+    the fold's training rows are read once more for their mean and std,
+    and only the blocks the fold reads are standardized, with the bits a
+    standardized copy of the whole matrix would give.
     """
     ds.check_row_count(manifest, features)
-    manifest, view = _filter_age_range(manifest, features, config.age_range)
-    folds = ds.split_lopo(manifest)
+    rows = None
+    if config.age_range is not None:
+        lo, hi = config.age_range
+        rows = [i for i, s in enumerate(manifest.samples) if lo <= s.age <= hi]
     results = []
-    for fold in folds:
-        # a new view each fold keeps only this fold's task rows, and is
-        # dropped before the next fold reads its training rows
-        feats = (
-            _standardized(view, fold.train_rows) if config.standardize else view.fresh()
-        )
+    for fold in ds.split_lopo(manifest, rows):
+        feats = features
+        if config.standardize:
+            feats = _standardized(features, fold.train_rows)
         _, model = train_model(manifest, feats, config, rows=fold.train_rows)
         preds = predict_rows(model, feats, manifest, fold.test_rows)
-        del feats
         truth = np.array(
             [manifest.samples[r].age for r in fold.test_rows], dtype=np.float64
         )

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glohage import cli, featfile, gloh, pgm, pipeline
+from glohage import cli, featfile, gloh, pgm, pipeline, ridge
 from glohage import dataset as ds
 
 
@@ -51,6 +51,23 @@ def make_feature_corpus(tmp_path, n_persons=4, images_per_person=3, k=30, seed=1
     feat_path = tmp_path / "features.gfv"
     featfile.write_features(str(feat_path), np.array(rows))
     return str(man_path), str(feat_path)
+
+
+def make_gappy_corpus(tmp_path, n, k, seed):
+    """n x k normal float32 rows, three to a person, with ages linear in
+    bins 5, 3k/10 and 7k/10; genders alternate and one row in seven has
+    none, so each task's rows come in short runs."""
+    rng = np.random.default_rng(seed)
+    features = rng.standard_normal((n, k)).astype(np.float32)
+    lines = ["path,person_id,age,gender"]
+    for i, x in enumerate(features):
+        age = int(np.clip(round(35 + 6 * x[5] - 5 * x[3 * k // 10] + 4 * x[7 * k // 10]),
+                          0, 90))
+        lines.append(f"synthetic:{i},p{i // 3},{age},{'' if i % 7 == 6 else 'mf'[i % 2]}")
+    man, feat = tmp_path / "manifest.csv", tmp_path / "features.gfv"
+    man.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    featfile.write_features(str(feat), features)
+    return str(man), str(feat)
 
 
 class TestExtract:
@@ -405,19 +422,11 @@ class TestSelectTrainPredict:
     def test_select_train_and_predict_never_hold_the_whole_matrix(self, tmp_path, capsys):
         # select reads each task's rows from the file, and train --selection
         # and predict only the selected bins, so none allocates the GFV1
-        # body as a whole; genders alternate and one row in seven has none,
-        # so each task's rows come in short runs
+        # body as a whole; train without --selection keeps the task rows
+        # through its ridge fits at select's bound; genders alternate and
+        # one row in seven has none, so each task's rows come in short runs
         n, k = 240, 3000
-        rng = np.random.default_rng(37)
-        features = rng.standard_normal((n, k)).astype(np.float32)
-        lines = ["path,person_id,age,gender"]
-        for i, x in enumerate(features):
-            age = int(np.clip(round(35 + 6 * x[5] - 5 * x[900] + 4 * x[2100]), 0, 90))
-            lines.append(f"synthetic:{i},p{i // 3},{age},{'' if i % 7 == 6 else 'mf'[i % 2]}")
-        man, feat = tmp_path / "manifest.csv", str(tmp_path / "features.gfv")
-        man.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        featfile.write_features(feat, features)
-        del features
+        man, feat = make_gappy_corpus(tmp_path, n, k, seed=37)
         body = 4 * n * k
         sel, model = str(tmp_path / "sel.txt"), str(tmp_path / "model.txt")
         runs = [
@@ -425,6 +434,8 @@ class TestSelectTrainPredict:
               "--budget", "10"], 2.0),
             (["train", "--manifest", str(man), "--features", feat, "--out", model,
               "--selection", sel], 0.5),
+            (["train", "--manifest", str(man), "--features", feat,
+              "--out", str(tmp_path / "fresh.txt"), "--budget", "10"], 2.0),
             (["predict", "--model", model, "--features", feat, "--manifest", str(man),
               "--out", str(tmp_path / "pred.csv")], 0.5),
             (["predict", "--model", model, "--features", feat,
@@ -439,6 +450,34 @@ class TestSelectTrainPredict:
                 tracemalloc.stop()
             assert peak < bound * body, (argv[0], peak / body)
         assert len(text_lines(model)) > 4
+        assert Path(model).read_bytes() == (tmp_path / "fresh.txt").read_bytes()
+
+    def test_train_reads_each_task_row_once(self, tmp_path, monkeypatch):
+        # the ridge fits cut their bins from the task rows the selection
+        # read: 120 rows, and the 17 without a gender are in both tasks;
+        # the model has the bytes of fits that gather their bins afresh
+        n, k = 120, 40
+        man, feat = make_gappy_corpus(tmp_path, n, k, seed=39)
+        reads = []
+        read = featfile.FeatureFile._read
+
+        def counted(self, fh, rows, out):
+            reads.append(len(rows))
+            return read(self, fh, rows, out)
+
+        monkeypatch.setattr(featfile.FeatureFile, "_read", counted)
+        model = tmp_path / "model.txt"
+        argv = ["train", "--manifest", man, "--features", feat, "--out", str(model),
+                "--budget", "5"]
+        assert cli.main(argv) == 0
+        assert sum(reads) == n + 17 == 137
+
+        manifest, config = ds.parse_manifest(man), pipeline.RunConfig(budget=5)
+        features = featfile.read_features(feat)
+        selection = pipeline.select_bins(manifest, features, config)
+        _, want = pipeline.train_model(manifest, features, config, selection)
+        ridge.write_model(str(tmp_path / "want.txt"), want)
+        assert model.read_bytes() == (tmp_path / "want.txt").read_bytes()
 
 
 class TestErrorContract:
@@ -449,6 +488,19 @@ class TestErrorContract:
         err = capsys.readouterr().err
         assert err.startswith(f"ERROR {code}:")
         assert err.count("\n") == 1
+
+    def test_evaluate_age_range_without_persons(self, tmp_path, capsys):
+        # every age is in [0, 69]: the range keeps no row, so no person
+        man, feat = make_feature_corpus(tmp_path)
+        out = tmp_path / "report.csv"
+        argv = ["evaluate", "--manifest", man, "--features", feat, "--out", str(out),
+                "--age-range", "100:110"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "ERROR SinglePerson: leave-one-person-out needs at least 2 persons, "
+            "the rows hold 0\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize("damage, code", [
         (lambda body: b"GFV2" + body[4:], "MalformedHeader"),

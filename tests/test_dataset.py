@@ -110,6 +110,36 @@ class TestSplitLopo:
             assert sorted(set(f.train_rows) | set(f.test_rows)) == list(range(n))
         assert np.all(seen_in_test == 1)
 
+    def test_folds_over_rows_are_in_file_rows(self):
+        man = self.make(["A", "B", "A", "C", "B", "C", "A"])
+        folds = ds.split_lopo(man, [1, 2, 4, 5])
+        assert [f.test_rows.tolist() for f in folds] == [[1, 4], [2], [5]]
+        assert [f.train_rows.tolist() for f in folds] == [[2, 5], [1, 4, 5], [1, 2, 4]]
+
+    def test_persons_in_order_of_first_appearance_in_rows(self):
+        # A comes first in the manifest, but B comes first among the rows
+        man = self.make(["A", "B", "A", "C", "B", "C", "A"])
+        folds = ds.split_lopo(man, [1, 2, 4, 5])
+        assert [f.held_out_person for f in folds] == ["B", "A", "C"]
+        assert [f.held_out_person for f in ds.split_lopo(man, [5, 0])] == ["C", "A"]
+
+    def test_no_rows_given_is_every_row(self):
+        rng = np.random.default_rng(1)
+        man = self.make([f"p{rng.integers(6)}" for _ in range(40)])
+        persons = list(dict.fromkeys(s.person_id for s in man.samples))
+        for got in (ds.split_lopo(man), ds.split_lopo(man, range(40))):
+            assert [f.held_out_person for f in got] == persons
+            for f, person in zip(got, persons):
+                test = [i for i, s in enumerate(man.samples) if s.person_id == person]
+                train = [i for i, s in enumerate(man.samples) if s.person_id != person]
+                assert f.test_rows.tolist() == test and f.train_rows.tolist() == train
+
+    @pytest.mark.parametrize("rows, held", [([], 0), ([0, 2, 6], 1)])
+    def test_too_few_persons_says_how_many(self, rows, held):
+        man = self.make(["A", "B", "A", "C", "B", "C", "A"])
+        with pytest.raises(SinglePersonError, match=f"the rows hold {held}$"):
+            ds.split_lopo(man, rows)
+
 
 class TestPartitionByTask:
     """``dataset.task_rows``, the one rule that splits rows into tasks for

@@ -51,9 +51,11 @@ def test_no_held_out_row_reaches_a_fold_fit(
     config = pipeline.RunConfig(budget=8, standardize=standardize, age_range=age_range)
     report = pipeline.evaluate_lopo(manifest, features, config)
 
-    kept, _ = pipeline._filter_age_range(manifest, features, age_range)
-    folds = ds.split_lopo(kept)
-    assert report.n == len(kept.samples)
+    lo, hi = age_range or (0, ds.MAX_AGE)
+    kept = [i for i, s in enumerate(manifest.samples) if lo <= s.age <= hi]
+    assert (len(kept) < len(manifest.samples)) == (age_range is not None)
+    folds = ds.split_lopo(manifest, kept)
+    assert report.n == len(kept)
     # the selection's task rows, then the ridge fits', for every fold
     assert [list(p[0]) for p in parts] == [
         list(f.train_rows) for f in folds for _ in range(2)
@@ -63,7 +65,8 @@ def test_no_held_out_row_reaches_a_fold_fit(
         assert sum(t.X.shape[0] for t in tasks) == len(fold.train_rows)
     for i, (rows, *_) in enumerate(parts):
         held_out = folds[i // 2].held_out_person
-        assert all(kept.samples[r].person_id != held_out for r in rows)
+        assert all(manifest.samples[r].person_id != held_out for r in rows)
+        assert all(lo <= manifest.samples[r].age <= hi for r in rows)
 
 
 @pytest.mark.parametrize("standardize", [False, True])
@@ -152,8 +155,7 @@ def test_standardized_constant_bin_keeps_its_scale():
     train = features[:195]
     mean, std = train.mean(axis=0), train.std(axis=0)
     assert std[1] > 0
-    view = pipeline._Rows(features, np.arange(196))
-    out = pipeline._standardized(view, np.arange(195))[np.arange(196)]
+    out = pipeline._standardized(features, np.arange(195))[np.arange(196)]
     assert np.array_equal(out[:, 1], features[:, 1] - mean[1])
     assert abs(out[195, 1] - 0.1) < 1e-6
     for k in (0, 2):
