@@ -6,32 +6,5 @@ Pipeline: PGM loading -> dense log-polar gradient-orientation histograms
 """
 
 from . import dataset, errors, featfile, gloh, metrics, mtl, pgm, pipeline, ridge
-from .gloh import GlohParams, extract_gloh
-from .mtl import SelectionResult, SolverOptions, TaskDataset, fit_for_budget
-from .pipeline import RunConfig, evaluate_lopo
-from .ridge import RidgeModel, fit_ridge, predict
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "GlohParams",
-    "RidgeModel",
-    "RunConfig",
-    "SelectionResult",
-    "SolverOptions",
-    "TaskDataset",
-    "dataset",
-    "errors",
-    "evaluate_lopo",
-    "extract_gloh",
-    "featfile",
-    "fit_for_budget",
-    "fit_ridge",
-    "gloh",
-    "metrics",
-    "mtl",
-    "pgm",
-    "pipeline",
-    "predict",
-    "ridge",
-]

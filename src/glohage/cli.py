@@ -149,7 +149,7 @@ def cmd_train(args):
     features = featfile.FeatureFile(args.features)  # reads only what the fits use
     selection = None
     if args.selection:
-        selection = mtl.read_selection(args.selection, features.shape[1], 2)
+        selection = mtl.read_selection(args.selection, features.shape[1], len(ds.TASKS))
     selection, model = pipeline.train_model(manifest, features, config, selection)
     ridge.write_model(args.out, model)
     print(f"selected={len(selection.selected)} tasks={len(model.weights)}")
@@ -195,11 +195,11 @@ def cmd_synth(args):
 def _add_common(p, *, mode=False, budget=False, evaluation=False):
     # setting flags keep their text; build_config parses it with SETTINGS
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed")
     if mode:
         p.add_argument("--mode", choices=(mtl.MODE_MTL, mtl.MODE_STL))
-    if budget:
+    if budget:  # extract fits nothing, so it takes no --seed
         p.add_argument("--budget")
+        p.add_argument("--seed")
     if evaluation:
         p.add_argument("--age-range", dest="age_range", metavar="LO:HI")
         p.add_argument("--cs-max", dest="cs_max")

@@ -27,6 +27,7 @@ from .mtl import TaskDataset
 MALE = "male"
 FEMALE = "female"
 UNKNOWN = "unknown"
+TASKS = (MALE, FEMALE)  # one selection task and ridge regressor each
 MAX_AGE = 130  # ages lie in [0, MAX_AGE] years
 
 _GENDER_FROM_TOKEN = {"m": MALE, "f": FEMALE, "": UNKNOWN}
@@ -136,7 +137,7 @@ def task_rows(rows, manifest):
     ascending. Unknown-gender rows are in both tasks; a task left without
     rows raises EmptyTaskError."""
     rows, tasks = sorted(rows), {}
-    for label in (MALE, FEMALE):
+    for label in TASKS:
         tasks[label] = [r for r in rows if manifest.samples[r].gender in (label, UNKNOWN)]
         if not tasks[label]:
             raise EmptyTaskError(f"no training rows for task {label!r}")

@@ -43,7 +43,8 @@ def aggregate(fold_results, cs_max=15):
     """Pool per-fold predictions into one report.
 
     ``fold_results`` is a list of (person_id, pred, truth). The headline
-    MAE is pooled over all test samples (not the mean of fold MAEs).
+    MAE and CS(j) are ``mae`` and ``cumulative_score`` of all test samples
+    pooled (not the mean of fold MAEs).
     """
     if not fold_results:
         raise EmptyError("no folds")
@@ -56,14 +57,12 @@ def aggregate(fold_results, cs_max=15):
         all_truth.append(truth)
     pred = np.concatenate(all_pred)
     truth = np.concatenate(all_truth)
-    errs = np.abs(pred - truth)
-    cs = np.array([np.mean(errs <= j) for j in range(cs_max + 1)])
     return EvalReport(
-        mae=float(errs.mean()),
+        mae=mae(pred, truth),
         per_fold=per_fold,
-        cs_curve=cs,
+        cs_curve=np.array([cumulative_score(pred, truth, j) for j in range(cs_max + 1)]),
         n=len(pred),
-        err_std=float(errs.std()),
+        err_std=float(np.abs(pred - truth).std()),
     )
 
 

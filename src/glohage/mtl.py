@@ -484,7 +484,9 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
     SUPPORT_EPSILON. The search stops after MAX_BISECT solves, or earlier
     once the bracket [lo, hi] is no wider than opts.rel_tol * hi: moving
     lambda that little changes the penalty term lambda * R(W) by less than
-    the solver's own relative tolerance.
+    the solver's own relative tolerance. At lambda_max = 0 (say, all-zero
+    labels) that bracket is closed before the first solve, and the result
+    is lambda 0 with no bins.
     """
     k = data[0].k
     if not (1 <= budget <= k):
@@ -493,9 +495,6 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
     screen = _Screen(data, opts.mode)
     lam_hi = lambda_max(data, opts.mode, screen=screen)
     best = SelectionResult(lam_hi, np.zeros((k, len(data))), np.array([], dtype=int))
-    if lam_hi == 0.0:
-        return best
-
     lo, hi = 0.0, lam_hi
     W = None
     for _ in range(MAX_BISECT):

@@ -147,29 +147,22 @@ class _Rows:
 
 
 class _Scaled:
-    """``source`` standardized as it is read: a gather returns a new
-    ``(block - mean[bins]) / std[bins]``, elementwise in the source's
-    dtype, so an element has the same bits whichever rows and bins come
-    with it."""
+    """``source`` standardized by the mean and std of its ``train_rows``,
+    which are read whole, once, for them; a constant bin keeps std 1.
+    A gather returns a new ``(block - mean[bins]) / std[bins]``,
+    elementwise in the source's dtype, so an element has the same bits
+    whichever rows and bins come with it."""
 
-    def __init__(self, source, mean, std):
-        self.source, self.shape, self.mean, self.std = source, source.shape, mean, std
+    def __init__(self, source, train_rows):
+        train = source[train_rows]
+        self.source, self.shape = source, source.shape
+        self.mean, self.std = train.mean(axis=0), train.std(axis=0)
+        # a constant bin's float32 std can be rounding noise instead of 0: both get 1
+        self.std[(self.std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
 
     def __getitem__(self, key):
         bins = np.asarray(key[1])[0] if isinstance(key, tuple) else slice(None)
         return (self.source[key] - self.mean[bins]) / self.std[bins]
-
-
-def _standardized(features, train_rows):
-    """``features`` standardized by the mean and std of its ``train_rows``:
-    a ``_Scaled`` view that scales only the blocks it returns. The
-    training rows are read whole, once, for their statistics."""
-    train = features[train_rows]
-    mean = train.mean(axis=0)
-    std = train.std(axis=0)
-    # a constant bin's float32 std can be rounding noise instead of 0: both get 1
-    std[(std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
-    return _Scaled(features, mean, std)
 
 
 def select_bins(manifest, features, config=RunConfig(), rows=None):
@@ -216,23 +209,21 @@ def predict_rows(model, features, manifest=None, rows=None):
     """Predict ages for feature rows; gender (if known) picks the task model,
     and each task's rows go to ridge.predict_selected in one call.
     ``features`` is an (N, K) array or a ``featfile.FeatureFile``; only the
-    selected bins of one task's rows at a time are gathered."""
+    selected bins of one task's rows at a time are gathered, and passed on
+    as gathered: ``predict_selected`` fixes the product's dtype and layout."""
     if manifest is not None:
         ds.check_row_count(manifest, features)
     rows = np.arange(features.shape[0]) if rows is None else np.asarray(rows, dtype=int)
     tasks = np.full(len(rows), ridge.POOLED, dtype=object)
     if manifest is not None:
         for i, r in enumerate(rows):
-            if manifest.samples[r].gender in (ds.MALE, ds.FEMALE):
+            if manifest.samples[r].gender in ds.TASKS:
                 tasks[i] = manifest.samples[r].gender
     preds = np.empty(len(rows))
     for task in dict.fromkeys(tasks):
         pick = tasks == task
         ridge.check_features(model, features.shape[1], task)
-        # F order, as ridge.predict gives it: the same bits
-        block = np.asfortranarray(
-            features[np.ix_(rows[pick], model.selected)], dtype=np.float64
-        )
+        block = features[np.ix_(rows[pick], model.selected)]
         preds[pick] = ridge.predict_selected(model, block, task)
     return preds
 
@@ -245,9 +236,10 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
     which are the feature rows, whose age lies in ``config.age_range``.
     Each fold reads its task rows once in ``train_model``, and its held-out
     rows' selected bins for the predictions. With ``config.standardize``
-    the fold's training rows are read once more for their mean and std,
-    and only the blocks the fold reads are standardized, with the bits a
-    standardized copy of the whole matrix would give.
+    the fold reads through a ``_Scaled`` view, which reads the fold's
+    training rows once more for their mean and std and standardizes only
+    the blocks the fold reads, with the bits a standardized copy of the
+    whole matrix would give.
     """
     ds.check_row_count(manifest, features)
     rows = None
@@ -258,7 +250,7 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
     for fold in ds.split_lopo(manifest, rows):
         feats = features
         if config.standardize:
-            feats = _standardized(features, fold.train_rows)
+            feats = _Scaled(features, fold.train_rows)
         _, model = train_model(manifest, feats, config, rows=fold.train_rows)
         preds = predict_rows(model, feats, manifest, fold.test_rows)
         truth = np.array(
@@ -286,7 +278,7 @@ def synth_dataset(spec, out_dir):
     offset = -lo * scale
 
     samples = []
-    genders = [ds.MALE, ds.FEMALE] + [ds.UNKNOWN] * max(0, spec.L - 2)
+    genders = [*ds.TASKS] + [ds.UNKNOWN] * max(0, spec.L - len(ds.TASKS))
     idx = 0
     for l, d in enumerate(data):
         for i in range(d.n):

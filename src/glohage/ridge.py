@@ -159,9 +159,7 @@ def predict(model, x, task=POOLED):
     row of a matrix of them (an array)."""
     x = np.asarray(x)
     check_features(model, x.shape[-1], task)
-    # gather the selected bins before the cast: no full-width float64 copy;
-    # a matrix's block comes out in F order
-    pred = predict_selected(model, x[..., model.selected].astype(np.float64), task)
+    pred = predict_selected(model, x[..., model.selected], task)  # no full-width copy
     return float(pred) if x.ndim == 1 else pred
 
 
@@ -177,9 +175,11 @@ def check_features(model, n_bins, task):
 
 
 def predict_selected(model, block, task):
-    """Clamped ages from ``block``, the float64 selected bins of one row or
-    of each row. The product's last bits depend on the block's memory
-    order, which ``predict`` gives in F order."""
+    """Clamped ages from ``block``, the selected bins of one row or of each
+    row, in any dtype and memory order. The product runs on the block as
+    float64 in F order, copied if need be, so its bits do not depend on
+    how the block was gathered."""
+    block = np.asfortranarray(block, dtype=np.float64)
     if not np.all(np.isfinite(block)):
         raise NonFiniteError("non-finite value in a selected bin")
     return np.clip(block @ model.weights[task] + model.intercepts[task], *model.clamp)

@@ -302,6 +302,15 @@ class TestEvaluate:
         )
         assert rc == 0
 
+    def test_report_on_stdout_without_out(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)
+        out = tmp_path / "report.csv"
+        argv = ["evaluate", "--manifest", man, "--features", feat, "--budget", "5"]
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
     def test_evaluate_never_copies_the_whole_matrix(self, tmp_path, capsys):
         # each fold reads its task rows from the file, and standardizes only
         # the rows it reads, so neither run holds a copy of the GFV1 body
@@ -536,6 +545,7 @@ class TestErrorContract:
             "standardize = ture",
             "budgte = 3",
             "budget = 3\nbudget = 4",
+            "budget 3",
         ],
     )
     def test_bad_setting_in_config(self, tmp_path, capsys, settings):
@@ -558,12 +568,24 @@ class TestErrorContract:
             ["synth", "--out-dir", "synth", "--k", "abc"],
             [],  # no subcommand
             ["evaluate", "--manifest", "m.csv", "--features", "f.gfv", "--cs-max", "131"],
+            ["evaluate", "--manifest", "m.csv", "--features", "f.gfv", "--age-range", "5"],
+            ["extract", "--manifest", "m.csv", "--out", "f.gfv", "--seed", "3"],  # no fit
         ],
     )
     def test_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
         self.run_failing(argv, capsys, "InvalidSpec")
         assert not os.listdir(tmp_path)
+
+    def test_train_selection_missing_file(self, tmp_path, capsys):
+        man, feat = make_feature_corpus(tmp_path)
+        out = tmp_path / "model.txt"
+        self.run_failing(
+            ["train", "--manifest", man, "--features", feat, "--out", str(out),
+             "--selection", str(tmp_path / "absent.txt")],
+            capsys, "MissingFile",
+        )
+        assert not out.exists()
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -8,6 +8,7 @@ from glohage.errors import (
     EmptyTaskError,
     InvalidSpecError,
     MalformedRowError,
+    MissingFileError,
     RowCountMismatchError,
     SinglePersonError,
 )
@@ -57,6 +58,32 @@ class TestParseManifest:
         with pytest.raises(MalformedRowError) as exc:
             ds.parse_manifest(path)
         assert "line 3" in str(exc.value)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(MissingFileError, match="no such file"):
+            ds.parse_manifest(str(tmp_path / "absent.csv"))
+
+    @pytest.mark.parametrize("header", ["", "path,person,age,gender\n", "a.pgm,p1,5,m\n"])
+    def test_wrong_header(self, tmp_path, header):
+        path = write_manifest_text(tmp_path, header + "b.pgm,p1,6,f\n")
+        with pytest.raises(MalformedRowError, match="header"):
+            ds.parse_manifest(path)
+
+    def test_empty_person_id(self, tmp_path):
+        path = write_manifest_text(tmp_path, HEADER + "a.pgm,p1,5,m\nb.pgm, ,6,f\n")
+        with pytest.raises(MalformedRowError, match="line 3: empty person_id"):
+            ds.parse_manifest(path)
+
+    @pytest.mark.parametrize("age", [-1, ds.MAX_AGE + 1])
+    def test_age_out_of_range(self, tmp_path, age):
+        path = write_manifest_text(tmp_path, HEADER + f"a.pgm,p1,{age},m\n")
+        with pytest.raises(MalformedRowError, match=f"line 2: age {age} outside"):
+            ds.parse_manifest(path)
+
+    def test_blank_row_skipped(self, tmp_path):
+        path = write_manifest_text(tmp_path, HEADER + "a.pgm,p1,5,m\n\nb.pgm,p2,7,f\n")
+        man = ds.parse_manifest(path)
+        assert [s.image_path for s in man.samples] == ["a.pgm", "b.pgm"]
 
     def test_crlf_accepted(self, tmp_path):
         p = tmp_path / "crlf.csv"

@@ -1,5 +1,5 @@
-"""Each demo script runs to completion, prints its opening lines and leaves
-no temporary directory behind."""
+"""Each demo script runs to completion in dev mode with warnings as errors,
+prints its opening lines and leaves no temporary directory behind."""
 
 import os
 import subprocess
@@ -28,7 +28,7 @@ def test_demo_runs(tmp_path, script, headers):
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / script)],
+        [sys.executable, "-X", "dev", "-W", "error", str(ROOT / "demos" / script)],
         env=env, capture_output=True, encoding="utf-8", timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -174,6 +174,10 @@ class TestSolve:
             lam = mtl.lambda_max(data)
             assert np.all(mtl.solve(data, lam) == 0)
 
+    def test_negative_lambda(self):
+        with pytest.raises(NegativeLambdaError):
+            mtl.solve(random_instance(5), -1e-3)
+
     def test_unregularized_square_system(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((25, 25)) + 0.5 * np.eye(25)
@@ -677,6 +681,19 @@ class TestFitForBudget:
         with pytest.raises(BudgetOutOfRangeError):
             mtl.fit_for_budget(data, 11)
 
+    def test_zero_labels_select_nothing_without_a_solve(self, monkeypatch):
+        # lambda_max is 0, so the bracket [0, 0] is closed before the first solve
+        data = [TaskDataset(d.task_id, d.X, np.zeros(d.n)) for d in random_instance(5)]
+        calls = []
+        solve = mtl.solve
+        monkeypatch.setattr(
+            mtl, "solve", lambda *a, **kw: calls.append(1) or solve(*a, **kw)
+        )
+        res = mtl.fit_for_budget(data, 10)
+        assert res.lam == 0.0 and res.selected.size == 0
+        assert res.W.shape == (50, 2) and not res.W.any()
+        assert calls == []
+
     def test_selected_is_support_of_w(self):
         data = random_instance(18, K=30, N=25)
         res = mtl.fit_for_budget(data, 10)
@@ -786,6 +803,15 @@ def test_selection_reader_rejects_header_values(tmp_path, header, error):
     path = tmp_path / "sel.txt"
     path.write_text("GLOHSEL 1\n" + header + "3 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(error):
+        mtl.read_selection(str(path), 30, 2)
+
+
+@pytest.mark.parametrize("first", ["GLOHSEL 2", "GLOHRIDGE 1", ""])
+def test_selection_reader_rejects_a_wrong_first_line(tmp_path, first):
+    path = tmp_path / "sel.txt"
+    path.write_text(HEADER.replace("GLOHSEL 1", first, 1) + "3 1.0 2.0\n",
+                    encoding="utf-8")
+    with pytest.raises(ShapeMismatchError, match="not a GLOHSEL file"):
         mtl.read_selection(str(path), 30, 2)
 
 

@@ -72,7 +72,7 @@ def test_no_held_out_row_reaches_a_fold_fit(
 @pytest.mark.parametrize("standardize", [False, True])
 def test_held_out_person_changes_only_the_other_folds(tmp_path, monkeypatch, standardize):
     # new feature rows and ages for one person leave the fold that holds the
-    # person out byte-identical, through the selection, _standardized's
+    # person out byte-identical, through the selection, _Scaled's
     # statistics and the ridge clamp, and change every other fold
     manifest, features = synth_corpus(tmp_path)
     person = manifest.samples[0].person_id
@@ -155,7 +155,7 @@ def test_standardized_constant_bin_keeps_its_scale():
     train = features[:195]
     mean, std = train.mean(axis=0), train.std(axis=0)
     assert std[1] > 0
-    out = pipeline._standardized(features, np.arange(195))[np.arange(196)]
+    out = pipeline._Scaled(features, np.arange(195))[np.arange(196)]
     assert np.array_equal(out[:, 1], features[:, 1] - mean[1])
     assert abs(out[195, 1] - 0.1) < 1e-6
     for k in (0, 2):
@@ -226,6 +226,9 @@ def test_predict_rows_has_the_bits_of_ridge_predict(tmp_path):
         (mtl.SolverOptions, "rel_tol", float("nan")),
         (mtl.SolverOptions, "rel_tol", float("inf")),
         (pipeline.RunConfig, "cs_max", ds.MAX_AGE + 1),
+        (pipeline.RunConfig, "budget", 0),
+        (mtl.SolverOptions, "max_iters", 0),
+        (mtl.SolverOptions, "mode", "x"),
     ],
 )
 def test_settings_reject_bad_values(settings, key, value):

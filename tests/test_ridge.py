@@ -79,6 +79,10 @@ class TestFitRidge:
             with pytest.raises(SingularSystemError):
                 ridge.fit_ridge(X, y, 0.0)
 
+    def test_negative_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            ridge.fit_ridge(np.eye(3), np.ones(3), -1.0)
+
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             ridge.fit_ridge(np.zeros((5, 2)), np.zeros(4), 1.0)
@@ -134,6 +138,10 @@ class TestSelectAlpha:
     def test_empty_grid(self):
         with pytest.raises(GridEmptyError):
             ridge.select_alpha(np.zeros((10, 1)), np.zeros(10), [])
+
+    def test_negative_alpha(self):
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            ridge.select_alpha(np.zeros((10, 1)), np.zeros(10), [1.0, -0.5])
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
@@ -212,6 +220,17 @@ class TestPredict:
         assert preds.shape == (9,)
         assert np.abs(preds - [ridge.predict(m, x, "male") for x in X]).max() <= 1e-12
         assert ridge.predict(m, X[:0], "male").shape == (0,)
+
+    def test_selected_block_bits_do_not_depend_on_memory_order(self):
+        # a product over a C-ordered block and one over an F-ordered block
+        # round differently (in about half of these 40 rows), so
+        # predict_selected takes both through one F-ordered copy
+        rng = np.random.default_rng(40)
+        m = make_model(np.arange(10), rng.standard_normal(10), 0.0, clamp=(-1e9, 1e9))
+        X = rng.standard_normal((40, 10)).astype(np.float32).astype(np.float64)
+        c = ridge.predict_selected(m, np.ascontiguousarray(X), "male")
+        f = ridge.predict_selected(m, np.asfortranarray(X), "male")
+        assert c.tobytes() == f.tobytes()
 
     def test_recovers_training_label_noiseless(self):
         rng = np.random.default_rng(10)
@@ -389,6 +408,15 @@ def test_model_reader_names_the_offending_line(tmp_path, body, where):
     path = tmp_path / "model.txt"
     path.write_text("GLOHRIDGE 1\n" + body, encoding="utf-8")
     with pytest.raises(MalformedRowError, match=where):
+        ridge.read_model(str(path))
+
+
+@pytest.mark.parametrize("first", ["GLOHRIDGE 2", "GLOHSEL 1", ""])
+def test_model_reader_rejects_a_wrong_first_line(tmp_path, first):
+    path = tmp_path / "model.txt"
+    path.write_text(f"{first}\ntask=m\nalpha=1.0\nintercept=2.0\n"
+                    "clamp=0.0 69.0\n3 1.0\n", encoding="utf-8")
+    with pytest.raises(ShapeMismatchError, match="not a GLOHRIDGE file"):
         ridge.read_model(str(path))
 
 
