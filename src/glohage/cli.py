@@ -2,8 +2,9 @@
 
 Subcommands: extract, select, train, predict, evaluate, synth. A flat
 ``key = value`` config file sets defaults; individual flags override it.
-On any failure, a usage error too, the process exits nonzero with one
-line ``ERROR <code>: <detail>`` on stderr.
+A subcommand takes only the settings that SETTINGS says it reads. On any
+failure, a usage error too, the process exits nonzero with one line
+``ERROR <code>: <detail>`` on stderr.
 """
 
 import argparse
@@ -42,36 +43,45 @@ def _age_range(text):
 
 
 # Every setting a config file or a same-named flag can give: key ->
-# (settings group, parser of its text). "gloh" keys build the GlohParams,
-# "solver" keys the SolverOptions and "run" keys the RunConfig itself.
+# (settings group, parser of its text, subcommands that read it). "gloh"
+# keys build the GlohParams, "solver" keys the SolverOptions and "run"
+# keys the RunConfig itself.
+_EXTRACT, _LOPO = ("extract",), ("evaluate",)
+_FIT, _REFIT = ("select", "train", "evaluate"), ("train", "evaluate")
 SETTINGS = {
-    "patch_size": ("gloh", int),
-    "stride": ("gloh", int),
-    "radii": ("gloh", _floats),
-    "n_sectors": ("gloh", int),
-    "n_orient": ("gloh", int),
-    "clip_threshold": ("gloh", _optional_float),
-    "max_iters": ("solver", int),
-    "rel_tol": ("solver", float),
-    "mode": ("solver", str),
-    "budget": ("run", int),
-    "alpha_grid": ("run", _floats),
-    "cs_max": ("run", int),
-    "seed": ("run", int),
-    "height": ("run", int),
-    "width": ("run", int),
-    "standardize": ("run", _bool),
-    "age_range": ("run", _age_range),
+    "patch_size": ("gloh", int, _EXTRACT),
+    "stride": ("gloh", int, _EXTRACT),
+    "radii": ("gloh", _floats, _EXTRACT),
+    "n_sectors": ("gloh", int, _EXTRACT),
+    "n_orient": ("gloh", int, _EXTRACT),
+    "clip_threshold": ("gloh", _optional_float, _EXTRACT),
+    "max_iters": ("solver", int, _FIT),
+    "rel_tol": ("solver", float, _FIT),
+    "mode": ("solver", str, _FIT),
+    "budget": ("run", int, _FIT),
+    "alpha_grid": ("run", _floats, _REFIT),
+    "cs_max": ("run", int, _LOPO),
+    "seed": ("run", int, _REFIT),  # seeds the ridge CV shuffle
+    "height": ("run", int, _EXTRACT),
+    "width": ("run", int, _EXTRACT),
+    "standardize": ("run", _bool, _LOPO),
+    "age_range": ("run", _age_range, _LOPO),
 }
 
-# keys only evaluate reads: select and train refuse them instead of ignoring them
-EVALUATE_ONLY = ("standardize", "age_range")
+# the settings that also have a flag, with its add_argument keywords; a
+# flag keeps its text, which build_config parses with SETTINGS
+_FLAGS = {
+    "mode": {"choices": (mtl.MODE_MTL, mtl.MODE_STL)},
+    "budget": {}, "seed": {}, "height": {}, "width": {}, "cs_max": {},
+    "age_range": {"metavar": "LO:HI"},
+    "standardize": {"action": "store_const", "const": "true"},
+}
 
 
-def _parse_config_file(path):
+def _parse_config_file(path, command):
     """Flat 'key = value' file; '#' starts a comment, blank lines ignored.
 
-    Every key must be in SETTINGS and appear at most once.
+    Every key must be in SETTINGS, read by ``command``, and given once.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -88,30 +98,29 @@ def _parse_config_file(path):
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in SETTINGS:
             raise InvalidSpecError(f"{path}:{lineno}: unknown key {key!r}")
+        if command not in SETTINGS[key][2]:
+            raise InvalidSpecError(f"{path}:{lineno}: {command} does not read {key!r}")
         if key in values:
             raise InvalidSpecError(f"{path}:{lineno}: key {key!r} given twice")
         values[key] = value
     return values
 
 
-def build_config(args, refused=()):
+def build_config(args):
     """Merge config-file values and CLI flags into a RunConfig.
 
     Both are text parsed by the SETTINGS table; a flag wins over the file.
-    A value that does not parse or is out of range, or a key in
-    ``refused``, raises InvalidSpecError.
+    A key ``args.command`` does not read, or a value that does not parse
+    or is out of range, raises InvalidSpecError.
     """
-    raw = _parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key in refused:
-        if key in raw:
-            raise InvalidSpecError(f"{key} applies to evaluate only")
-    for key in SETTINGS:
+    raw = _parse_config_file(args.config, args.command) if args.config else {}
+    for key in _FLAGS:
         flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = flag
     groups = {"gloh": {}, "solver": {}, "run": {}}
     for key, text in raw.items():
-        group, parse = SETTINGS[key]
+        group, parse, _ = SETTINGS[key]
         try:
             groups[group][key] = parse(text)
         except ValueError as exc:
@@ -135,7 +144,7 @@ def cmd_extract(args):
 
 
 def cmd_select(args):
-    config = build_config(args, EVALUATE_ONLY)
+    config = build_config(args)
     manifest = ds.parse_manifest(args.manifest)
     features = featfile.FeatureFile(args.features)  # reads each task's rows
     sel = pipeline.select_bins(manifest, features, config)
@@ -144,7 +153,7 @@ def cmd_select(args):
 
 
 def cmd_train(args):
-    config = build_config(args, EVALUATE_ONLY)
+    config = build_config(args)
     manifest = ds.parse_manifest(args.manifest)
     features = featfile.FeatureFile(args.features)  # reads only what the fits use
     selection = None
@@ -192,18 +201,11 @@ def cmd_synth(args):
     print(f"wrote {len(manifest.samples)} samples to {args.out_dir}")
 
 
-def _add_common(p, *, mode=False, budget=False, evaluation=False):
-    # setting flags keep their text; build_config parses it with SETTINGS
+def _add_settings(p, command):
     p.add_argument("--config", help="flat key=value config file")
-    if mode:
-        p.add_argument("--mode", choices=(mtl.MODE_MTL, mtl.MODE_STL))
-    if budget:  # extract fits nothing, so it takes no --seed
-        p.add_argument("--budget")
-        p.add_argument("--seed")
-    if evaluation:
-        p.add_argument("--age-range", dest="age_range", metavar="LO:HI")
-        p.add_argument("--cs-max", dest="cs_max")
-        p.add_argument("--standardize", action="store_const", const="true")
+    for key, kwargs in _FLAGS.items():
+        if command in SETTINGS[key][2]:
+            p.add_argument("--" + key.replace("_", "-"), **kwargs)
 
 
 class _Parser(argparse.ArgumentParser):  # subparsers share the class
@@ -221,16 +223,14 @@ def make_parser():
     p = sub.add_parser("extract", help="extract GLOH features for a manifest")
     p.add_argument("--manifest", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--height")
-    p.add_argument("--width")
-    _add_common(p)
+    _add_settings(p, "extract")
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("select", help="sparse bin selection, writes GLOHSEL")
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, mode=True, budget=True)
+    _add_settings(p, "select")
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("train", help="selection + ridge fit, writes GLOHRIDGE")
@@ -238,7 +238,7 @@ def make_parser():
     p.add_argument("--features", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--selection", help="reuse an existing GLOHSEL file")
-    _add_common(p, mode=True, budget=True)
+    _add_settings(p, "train")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="model + features -> predictions CSV")
@@ -252,7 +252,7 @@ def make_parser():
     p.add_argument("--manifest", required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--out", help="report CSV path (default: stdout)")
-    _add_common(p, mode=True, budget=True, evaluation=True)
+    _add_settings(p, "evaluate")
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")

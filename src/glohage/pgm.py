@@ -5,8 +5,6 @@ with the origin at the top-left pixel. The pipeline expects pre-aligned
 68x62 inputs; ``check_dims`` enforces that contract, no resizing is done.
 """
 
-import os
-
 import numpy as np
 
 from .errors import (
@@ -50,12 +48,14 @@ def load_pgm(path):
     """Read a P5 (binary) or P2 (ASCII) PGM file into a uint8 array.
 
     Raises MissingFileError, MalformedHeaderError, TruncatedPixelDataError
-    or UnsupportedMaxvalError; never returns a partially filled image.
+    or UnsupportedMaxvalError, and any other OSError of the open or read,
+    such as IsADirectoryError; never returns a partially filled image.
     """
-    if not os.path.isfile(path):
-        raise MissingFileError(f"no such file: {path}")
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise MissingFileError(f"no such file: {path}") from None
 
     tokens, offset = _tokenize_header(data, 4)
     magic = tokens[0]

@@ -36,6 +36,9 @@ class RunConfig:
             raise ValueError(
                 f"alpha_grid needs finite values >= 0, got {self.alpha_grid}"
             )
+        for name in ("height", "width"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.cs_max <= ds.MAX_AGE:  # no absolute error exceeds MAX_AGE

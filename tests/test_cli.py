@@ -161,6 +161,21 @@ class TestExtract:
         assert err.startswith("ERROR ImageTooSmall:") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == before
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_image_path_naming_a_directory(self, tmp_path, capsys, monkeypatch, workers):
+        # the path exists, so this is the open's own error, not MissingFile
+        monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
+        man = make_image_corpus(tmp_path, n=4)
+        (tmp_path / "face2.pgm").unlink()
+        (tmp_path / "face2.pgm").mkdir()
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main(["extract", "--manifest", man,
+                         "--out", str(tmp_path / "f.gfv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR FileAccess:") and err.count("\n") == 1
+        assert "face2.pgm" in err
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_out_naming_a_directory(self, tmp_path, capsys):
         man = make_image_corpus(tmp_path)
         before = sorted(os.listdir(tmp_path))
@@ -570,6 +585,8 @@ class TestErrorContract:
             ["evaluate", "--manifest", "m.csv", "--features", "f.gfv", "--cs-max", "131"],
             ["evaluate", "--manifest", "m.csv", "--features", "f.gfv", "--age-range", "5"],
             ["extract", "--manifest", "m.csv", "--out", "f.gfv", "--seed", "3"],  # no fit
+            ["select", "--manifest", "m.csv", "--features", "f.gfv", "--out", "s.txt",
+             "--seed", "3"],  # no ridge fit
         ],
     )
     def test_usage_error(self, tmp_path, capsys, monkeypatch, argv):
@@ -627,6 +644,8 @@ class TestErrorContract:
             "n_sectors = 0",
             "n_orient = 0",
             "n_orient = -2",
+            "height = 0",
+            "width = -1",
         ],
     )
     def test_bad_geometry_in_config(self, tmp_path, capsys, setting):
@@ -777,12 +796,101 @@ class TestErrorContract:
         )
 
 
+# which subcommand reads which config key, written out by hand for the
+# tests below to hold cli.SETTINGS to
+READS = {
+    "extract": ("patch_size", "stride", "radii", "n_sectors", "n_orient",
+                "clip_threshold", "height", "width"),
+    "select": ("max_iters", "rel_tol", "mode", "budget"),
+    "train": ("max_iters", "rel_tol", "mode", "budget", "alpha_grid", "seed"),
+    "evaluate": ("max_iters", "rel_tol", "mode", "budget", "alpha_grid", "seed",
+                 "cs_max", "standardize", "age_range"),
+}
+# each key at the value a run without it uses; 0:130 keeps every age
+PLAIN = {
+    "patch_size": "10", "stride": "3", "radii": "2,3,5", "n_sectors": "8",
+    "n_orient": "8", "clip_threshold": "0.2", "max_iters": "2000", "rel_tol": "1e-6",
+    "mode": "mtl", "budget": "50", "alpha_grid": "0.001,0.01,0.1,1,10,100,1000",
+    "cs_max": "15", "seed": "0", "height": "68", "width": "62",
+    "standardize": "false", "age_range": "0:130",
+}
+# the flags each subcommand's --help lists: its files, then its settings'
+HELP_FLAGS = {
+    "extract": ["--manifest", "--out", "--config", "--height", "--width"],
+    "select": ["--manifest", "--features", "--out", "--config", "--mode", "--budget"],
+    "train": ["--manifest", "--features", "--out", "--selection", "--config", "--mode",
+              "--budget", "--seed"],
+    "evaluate": ["--manifest", "--features", "--out", "--config", "--mode", "--budget",
+                 "--seed", "--cs-max", "--age-range", "--standardize"],
+    "predict": ["--model", "--features", "--out", "--manifest"],
+}
+
+
+def command_argv(command, tmp_path):
+    """``command``'s input flags over the corpus in ``tmp_path``, or over
+    files that do not exist when it has none."""
+    man, feat = str(tmp_path / "manifest.csv"), str(tmp_path / "features.gfv")
+    return [command, "--manifest", man] + ([] if command == "extract" else
+                                           ["--features", feat])
+
+
+class TestSettings:
+    """Each subcommand takes only the settings it reads."""
+
+    @pytest.mark.parametrize("command, key", [
+        (command, key) for command in READS for key in PLAIN if key not in READS[command]
+    ])
+    def test_unread_key_in_config(self, tmp_path, capsys, command, key):
+        # refused before the (absent) manifest or features are opened
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# one key\n{key} = {PLAIN[key]}\n", encoding="utf-8")
+        argv = command_argv(command, tmp_path)
+        argv += ["--out", str(tmp_path / "out"), "--config", str(cfg)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"ERROR InvalidSpec: {cfg}:2: {command} does not read '{key}'\n"
+        )
+        assert os.listdir(tmp_path) == ["run.cfg"]
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_config_at_plain_values_changes_no_byte(self, tmp_path, capsys, command):
+        if command == "extract":
+            make_image_corpus(tmp_path)
+        else:
+            make_feature_corpus(tmp_path, k=60)  # K above the default budget
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {PLAIN[key]}\n" for key in READS[command]),
+                       encoding="utf-8")
+        plain, configured = tmp_path / "plain.out", tmp_path / "configured.out"
+        argv = command_argv(command, tmp_path)
+        assert cli.main(argv + ["--out", str(plain)]) == 0
+        printed = capsys.readouterr()
+        assert cli.main(argv + ["--out", str(configured), "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == printed
+        assert configured.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_ridge_fits_take_seed(self, command):
+        argv = command_argv(command, Path("absent")) + ["--out", "o", "--seed", "3"]
+        assert cli.build_config(cli.make_parser().parse_args(argv)).seed == 3
+
+    @pytest.mark.parametrize("command", list(HELP_FLAGS))
+    def test_help_lists_only_the_flags_of_read_settings(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--help"])
+        assert exc.value.code == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert flags == {"--help", *HELP_FLAGS[command]}
+
+
 def test_readme_lists_every_config_key():
     readme = Path(__file__).resolve().parents[1] / "README.md"
     readme = readme.read_text(encoding="utf-8")
     section = readme.split("Config keys", 1)[1].split("\n## ", 1)[0]
-    keys = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
-    assert sorted(keys) == sorted(cli.SETTINGS)
+    rows = re.findall(r"^\| `(\w+)` \| .* \| ([^|]*) \|$", section, flags=re.M)
+    assert sorted(key for key, _ in rows) == sorted(cli.SETTINGS)
+    for key, read_by in rows:  # the "read by" column
+        assert tuple(re.findall(r"`(\w+)`", read_by)) == cli.SETTINGS[key][2], key
 
 
 # the same commands run in the CI workflow's numpy-only step

@@ -42,6 +42,12 @@ def test_missing_file(tmp_path):
         pgm.load_pgm(str(tmp_path / "nope.pgm"))
 
 
+def test_directory_is_not_a_missing_file(tmp_path):
+    # the path exists: the open's own error comes through
+    with pytest.raises(IsADirectoryError):
+        pgm.load_pgm(str(tmp_path))
+
+
 def test_bad_magic(tmp_path):
     path = write(tmp_path, "a.pgm", b"P7\n2 2\n255\n\x00\x00\x00\x00")
     with pytest.raises(MalformedHeaderError):

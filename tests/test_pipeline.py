@@ -229,6 +229,8 @@ def test_predict_rows_has_the_bits_of_ridge_predict(tmp_path):
         (pipeline.RunConfig, "budget", 0),
         (mtl.SolverOptions, "max_iters", 0),
         (mtl.SolverOptions, "mode", "x"),
+        (pipeline.RunConfig, "height", 0),
+        (pipeline.RunConfig, "width", -1),
     ],
 )
 def test_settings_reject_bad_values(settings, key, value):
