@@ -37,7 +37,9 @@ over all the working set's columns and hands those of the iterate it
 returns to the KKT check. Because the loss is quadratic, the
 backtracking test compares sum_l ||X_l d_l||^2 / N_l with ||d||^2 /
 (2 step) directly instead of differencing two rounded losses.
-Loss, gradient, objective and solver share one product/residual path.
+Loss and gradient share one product/residual path (``_products``,
+``_loss``, ``_grad``); the tests score solutions with an objective of
+their own, written from the problem's definition.
 
 ``fit_for_budget`` bisects on lambda until the bin budget is met and
 stops once the bracket is narrower than the solver's relative tolerance.
@@ -223,24 +225,10 @@ def penalty(W, mode):
     return float(np.abs(W).sum())
 
 
-def objective(W, data, lam, mode=MODE_MTL):
-    """Full objective: task-summed normalized squared loss + lam * penalty."""
-    if lam < 0:
-        raise NegativeLambdaError(f"lambda = {lam}")
-    W = np.asarray(W, dtype=np.float64)
-    _check_shapes(W, data)
-    return _loss(_products(W, data), data) + lam * penalty(W, mode)
-
-
-def soft_threshold(x, tau):
-    """Scalar/elementwise shrinkage: sign(x) * max(|x| - tau, 0)."""
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-
-
 def _prox(V, tau, mode):
     """Prox of tau * R at V: (result, R(result))."""
     if mode == MODE_STL:
-        out = soft_threshold(V, tau)
+        out = np.sign(V) * np.maximum(np.abs(V) - tau, 0.0)  # soft threshold
         return out, float(np.abs(out).sum())
     norms = _row_norms(V)
     rows = (norms > tau).nonzero()[0]

@@ -15,8 +15,6 @@ from .errors import (
     UnsupportedMaxvalError,
 )
 
-__all__ = ["load_pgm", "save_pgm", "check_dims"]
-
 
 def _tokenize_header(data, n_tokens):
     """Pull the first ``n_tokens`` whitespace-separated header tokens,
@@ -98,25 +96,6 @@ def load_pgm(path):
             raise TruncatedPixelDataError("pixel sample outside [0, maxval]")
         pixels = pixels.astype(np.uint8)
     return pixels.reshape(height, width)
-
-
-def save_pgm(img, path):
-    """Write a 2-D image as binary P5. Round-trips exactly with load_pgm.
-
-    A sample that is not an integer in [0, 255] raises ValueError before
-    any file is written; uint8 input is written as it is.
-    """
-    img = np.asarray(img)
-    if img.dtype != np.uint8:
-        if img.dtype.kind not in "iuf" or not np.all(
-            (img >= 0) & (img <= 255) & (np.floor(img) == img)
-        ):
-            raise ValueError("PGM samples must be integers in [0, 255]")
-        img = img.astype(np.uint8)
-    h, w = img.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        fh.write(img.tobytes())
 
 
 def check_dims(img, expected_h, expected_w):

@@ -154,15 +154,6 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
     return model
 
 
-def predict(model, x, task=POOLED):
-    """Clamped ages for one full-length feature vector (a float) or for each
-    row of a matrix of them (an array)."""
-    x = np.asarray(x)
-    check_features(model, x.shape[-1], task)
-    pred = predict_selected(model, x[..., model.selected], task)  # no full-width copy
-    return float(pred) if x.ndim == 1 else pred
-
-
 def check_features(model, n_bins, task):
     """Raise unless ``model`` has a regressor for ``task`` whose selected
     bins all lie below ``n_bins``."""

@@ -2,11 +2,14 @@
 
 Plain, slow implementations kept out of the package: the GLOH histogram
 of one patch and its normalization, the sliding-window GLOH extractor
-that pins the package's feature bytes, the group soft-threshold of one row
-(the prox of its Euclidean norm), the gradient of the selection problem's
-smooth part, a cyclic block-coordinate-descent solver for that problem,
-a ridge fit by a Cholesky solve of the normal equations (``fit_ridge``),
-and ridge cross-validation with one such fit per alpha and fold.
+that pins the package's feature bytes, the selection problem's objective
+and the soft threshold, both in float64 from their definitions and sharing
+no code with the solver, the group soft-threshold of one row (the prox of
+its Euclidean norm), the gradient of the problem's smooth part, which runs
+the solver's own product and gradient helpers, a cyclic
+block-coordinate-descent solver, a ridge fit by a Cholesky solve of the
+normal equations (``fit_ridge``), and ridge cross-validation with one such
+fit per alpha and fold.
 """
 
 import numpy as np
@@ -15,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import brentq
 
 from glohage import mtl
-from glohage.errors import GlohError, NegativeLambdaError
+from glohage.errors import GlohError
 from glohage.gloh import (
     TWO_PI,
     GlohParams,
@@ -23,13 +26,7 @@ from glohage.gloh import (
     _spatial_bin_map,
     patch_grid,
 )
-from glohage.mtl import (
-    MODE_STL,
-    SolverOptions,
-    _check_shapes,
-    objective,
-    soft_threshold,
-)
+from glohage.mtl import MODE_MTL, MODE_STL, SolverOptions
 
 
 class PatchOutOfBoundsError(GlohError):
@@ -139,6 +136,30 @@ def extract_gloh_windows(img, params=GlohParams()):
     return blocks.ravel()
 
 
+def objective(W, data, lam, mode=MODE_MTL):
+    """sum_l ||y_l - X_l w_l||^2 / N_l + lam * R(W), all in float64, with
+    R(W) the sum of the row norms of W (mtl) or of its absolute entries
+    (stl). Task l's coefficients are column l of the (K, L) matrix W."""
+    W = np.asarray(W, dtype=np.float64)
+    assert W.shape == (data[0].X.shape[1], len(data))
+    total = 0.0
+    for l, d in enumerate(data):
+        r = np.asarray(d.y, dtype=np.float64) - np.asarray(d.X, dtype=np.float64) @ W[:, l]
+        total += float(r @ r) / len(r)
+    if mode == MODE_MTL:
+        penalty = sum(float(np.sqrt(row @ row)) for row in W)
+    else:
+        penalty = float(np.abs(W).sum())
+    return total + lam * penalty
+
+
+def soft_threshold(x, tau):
+    """The prox of tau * |u| at x, elementwise: x moved toward zero by tau,
+    and zero where |x| <= tau."""
+    x = np.asarray(x, dtype=np.float64)
+    return np.where(np.abs(x) > tau, x - tau * np.sign(x), 0.0)
+
+
 def group_soft_threshold(row, tau):
     """Shrink a row toward zero by tau in Euclidean norm; zero it if shorter."""
     row = np.asarray(row, dtype=np.float64)
@@ -182,11 +203,8 @@ def solve_cd_oracle(data, lam, opts=SolverOptions()):
     optimality (scalar root-find for the row norm in mtl mode, closed
     form shrinkage in stl mode). Intended for small instances only.
     """
-    if lam < 0:
-        raise NegativeLambdaError(f"lambda = {lam}")
     k, n_tasks = data[0].k, len(data)
     W = np.zeros((k, n_tasks))
-    _check_shapes(W, data)
     X = [np.asarray(d.X, dtype=np.float64) for d in data]
     # a[l, k] = (2/N_l) ||column k||^2 ; columns of zeros never activate
     a = np.column_stack([(2.0 / d.n) * np.sum(x * x, axis=0) for d, x in zip(data, X)])

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from glohage import cli, featfile, gloh, metrics, mtl, pgm, pipeline, ridge
+from glohage import cli, featfile, gloh, metrics, mtl, pipeline, ridge
 from glohage import dataset as ds
 from glohage.mtl import SolverOptions, TaskDataset
 
 import oracles
+from pgmfile import write_pgm
 
 TIGHT = SolverOptions(rel_tol=1e-9, max_iters=5000)
 
@@ -72,7 +73,7 @@ def test_criterion_02_prox_oracle():
         assert pen == pytest.approx(mtl.penalty(out, mtl.MODE_MTL), rel=1e-12, abs=1e-12)
         found = [p, out[0]]
         out, pen = mtl._prox(v[None, :], tau, mtl.MODE_STL)
-        assert np.array_equal(out[0], mtl.soft_threshold(v, tau))
+        assert np.array_equal(out[0], oracles.soft_threshold(v, tau))
         assert pen == pytest.approx(mtl.penalty(out, mtl.MODE_STL), rel=1e-12, abs=1e-12)
         if L == 1:  # with one task the l1 and l2,1 penalties agree
             found.append(out[0])
@@ -87,8 +88,8 @@ def test_criterion_03_solver_vs_oracle():
     for seed in range(25):
         data = random_instance(seed)
         lam = 0.3 * mtl.lambda_max(data)
-        f1 = mtl.objective(mtl.solve(data, lam, TIGHT), data, lam)
-        f2 = mtl.objective(oracles.solve_cd_oracle(data, lam, TIGHT), data, lam)
+        f1 = oracles.objective(mtl.solve(data, lam, TIGHT), data, lam)
+        f2 = oracles.objective(oracles.solve_cd_oracle(data, lam, TIGHT), data, lam)
         worst = max(worst, abs(f1 - f2) / f2)
     elapsed = time.perf_counter() - t0
     assert worst < 1e-5
@@ -137,9 +138,8 @@ def test_criterion_06_gradient_check():
                 Wp[k, l] += h
                 Wm[k, l] -= h
                 # at lambda = 0 the objective is the smooth part alone
-                fd = (mtl.objective(Wp, data, 0.0) - mtl.objective(Wm, data, 0.0)) / (
-                    2 * h
-                )
+                fd = (oracles.objective(Wp, data, 0.0)
+                      - oracles.objective(Wm, data, 0.0)) / (2 * h)
                 worst = max(worst, abs(fd - G[k, l]) / max(1.0, abs(fd)))
     assert worst < 1e-4
     report(6, f"10 instances, worst relative error {worst:.2e}")
@@ -204,7 +204,7 @@ def test_criterion_10_paper_protocol_available(tmp_path):
     lines = ["path,person_id,age,gender"]
     for i in range(8):
         img = rng.integers(0, 256, size=(68, 62)).astype(np.uint8)
-        pgm.save_pgm(img, str(tmp_path / f"f{i}.pgm"))
+        write_pgm(img, str(tmp_path / f"f{i}.pgm"))
         lines.append(f"f{i}.pgm,person{i // 2},{10 + 5 * i},{'m' if i % 2 else 'f'}")
     man = tmp_path / "manifest.csv"
     man.write_text("\n".join(lines) + "\n", encoding="utf-8")

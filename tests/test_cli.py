@@ -11,6 +11,8 @@ import pytest
 from glohage import cli, featfile, gloh, pgm, pipeline, ridge
 from glohage import dataset as ds
 
+from pgmfile import write_pgm
+
 
 def text_lines(*path):
     return Path(*path).read_text(encoding="utf-8").splitlines()
@@ -21,7 +23,7 @@ def make_image_corpus(tmp_path, n=3):
     lines = ["path,person_id,age,gender"]
     for i in range(n):
         img = rng.integers(0, 256, size=(68, 62)).astype(np.uint8)
-        pgm.save_pgm(img, str(tmp_path / f"face{i}.pgm"))
+        write_pgm(img, str(tmp_path / f"face{i}.pgm"))
         gender = "m" if i % 2 == 0 else "f"
         lines.append(f"face{i}.pgm,p{i // 2},{20 + i % 50},{gender}")
     man_path = tmp_path / "manifest.csv"
@@ -103,7 +105,7 @@ class TestExtract:
 
     def test_wrong_dims_rejected(self, tmp_path, capsys):
         img = np.zeros((64, 64), dtype=np.uint8)
-        pgm.save_pgm(img, str(tmp_path / "a.pgm"))
+        write_pgm(img, str(tmp_path / "a.pgm"))
         man = tmp_path / "m.csv"
         man.write_text("path,person_id,age,gender\na.pgm,p1,5,m\n", encoding="utf-8")
         rc = cli.main(
@@ -133,7 +135,7 @@ class TestExtract:
         # worker fails first, the error is row 3's, as in manifest order
         monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
         man = make_image_corpus(tmp_path, n=12)
-        pgm.save_pgm(np.zeros((64, 64), dtype=np.uint8), str(tmp_path / "face3.pgm"))
+        write_pgm(np.zeros((64, 64), dtype=np.uint8), str(tmp_path / "face3.pgm"))
         (tmp_path / "face10.pgm").unlink()
         existing = tmp_path / "old.gfv"
         existing.write_bytes(b"not yet replaced")
@@ -147,7 +149,7 @@ class TestExtract:
 
     def test_image_one_pixel_high(self, tmp_path, capsys):
         # the geometry fits a 1x62 image, but its gradient needs two rows
-        pgm.save_pgm(np.zeros((1, 62), dtype=np.uint8), str(tmp_path / "thin.pgm"))
+        write_pgm(np.zeros((1, 62), dtype=np.uint8), str(tmp_path / "thin.pgm"))
         man = tmp_path / "manifest.csv"
         man.write_text("path,person_id,age,gender\nthin.pgm,p0,30,m\n", encoding="utf-8")
         cfg = tmp_path / "run.cfg"

@@ -37,31 +37,21 @@ class TestObjective:
         data = random_instance(0)
         W = np.zeros((50, 2))
         expected = sum(float(d.y @ d.y) / d.n for d in data)
-        assert mtl.objective(W, data, 1.0) == pytest.approx(expected)
+        assert oracles.objective(W, data, 1.0) == pytest.approx(expected)
 
     def test_exact_solution_zero_residual(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((6, 6))
         w = rng.standard_normal(6)
         data = [TaskDataset("a", X, X @ w)]
-        assert mtl.objective(w[:, None], data, 0.0) == pytest.approx(0.0, abs=1e-20)
+        assert oracles.objective(w[:, None], data, 0.0) == pytest.approx(0.0, abs=1e-20)
 
     def test_penalty_row_norms(self):
         # zero-loss data, W rows (3,4) and (0,0): penalty contributes 5
         X = np.zeros((1, 2))
         data = [TaskDataset("a", X, np.zeros(1)), TaskDataset("b", X, np.zeros(1))]
         W = np.array([[3.0, 4.0], [0.0, 0.0]])
-        assert mtl.objective(W, data, 1.0, mtl.MODE_MTL) == pytest.approx(5.0)
-
-    def test_negative_lambda(self):
-        data = random_instance(2)
-        with pytest.raises(NegativeLambdaError):
-            mtl.objective(np.zeros((50, 2)), data, -1.0)
-
-    def test_shape_mismatch(self):
-        data = random_instance(3)
-        with pytest.raises(ShapeMismatchError):
-            mtl.objective(np.zeros((49, 2)), data, 1.0)
+        assert oracles.objective(W, data, 1.0, mtl.MODE_MTL) == pytest.approx(5.0)
 
 
 class TestProx:
@@ -80,9 +70,9 @@ class TestProx:
         assert np.allclose(oracles.group_soft_threshold(np.zeros(3), 0.0), 0)
 
     def test_scalar_examples(self):
-        assert mtl.soft_threshold(5.0, 2.0) == pytest.approx(3.0)
-        assert mtl.soft_threshold(-1.0, 2.0) == pytest.approx(0.0)
-        assert mtl.soft_threshold(-7.5, 0.0) == pytest.approx(-7.5)
+        assert oracles.soft_threshold(5.0, 2.0) == pytest.approx(3.0)
+        assert oracles.soft_threshold(-1.0, 2.0) == pytest.approx(0.0)
+        assert oracles.soft_threshold(-7.5, 0.0) == pytest.approx(-7.5)
 
     def test_group_prox_minimizes(self):
         # against a derivative-free numeric minimizer
@@ -178,6 +168,11 @@ class TestSolve:
         with pytest.raises(NegativeLambdaError):
             mtl.solve(random_instance(5), -1e-3)
 
+    def test_shape_mismatch(self):
+        data = random_instance(3)
+        with pytest.raises(ShapeMismatchError):
+            mtl.solve(data, 1.0, w0=np.zeros((49, 2)))
+
     def test_unregularized_square_system(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((25, 25)) + 0.5 * np.eye(25)
@@ -189,17 +184,17 @@ class TestSolve:
     def test_matches_cd_oracle(self):
         data = random_instance(9)
         lam = 0.3 * mtl.lambda_max(data)
-        f1 = mtl.objective(mtl.solve(data, lam, TIGHT), data, lam)
-        f2 = mtl.objective(oracles.solve_cd_oracle(data, lam, TIGHT), data, lam)
+        f1 = oracles.objective(mtl.solve(data, lam, TIGHT), data, lam)
+        f2 = oracles.objective(oracles.solve_cd_oracle(data, lam, TIGHT), data, lam)
         assert abs(f1 - f2) / f2 < 1e-5
 
     def test_matches_cd_oracle_stl(self):
         data = random_instance(10)
         lam = 0.3 * mtl.lambda_max(data, mtl.MODE_STL)
-        f1 = mtl.objective(
+        f1 = oracles.objective(
             mtl.solve(data, lam, TIGHT_STL), data, lam, mtl.MODE_STL
         )
-        f2 = mtl.objective(
+        f2 = oracles.objective(
             oracles.solve_cd_oracle(data, lam, TIGHT_STL), data, lam, mtl.MODE_STL
         )
         assert abs(f1 - f2) / f2 < 1e-5
@@ -209,7 +204,7 @@ class TestSolve:
             data = random_instance(seed, K=30, N=20)
             lam = 0.1 * mtl.lambda_max(data)
             W = mtl.solve(data, lam)
-            assert mtl.objective(W, data, lam) <= mtl.objective(
+            assert oracles.objective(W, data, lam) <= oracles.objective(
                 np.zeros_like(W), data, lam
             ) + 1e-12
 
@@ -225,9 +220,8 @@ class TestSolve:
                 Wp[k, l] += h
                 Wm[k, l] -= h
                 # at lambda = 0 the objective is the smooth part alone
-                fd = (mtl.objective(Wp, data, 0.0) - mtl.objective(Wm, data, 0.0)) / (
-                    2 * h
-                )
+                fd = (oracles.objective(Wp, data, 0.0)
+                      - oracles.objective(Wm, data, 0.0)) / (2 * h)
                 assert abs(fd - G[k, l]) / max(1.0, abs(fd)) < 1e-4
 
 
@@ -242,9 +236,9 @@ class TestSolve:
             data.append(TaskDataset(f"t{l}", X, y))
         lam = 0.05 * mtl.lambda_max(data)
         w0 = mtl.solve(data, lam, SolverOptions(rel_tol=1e-12, max_iters=3000))
-        f0 = mtl.objective(w0, data, lam)
+        f0 = oracles.objective(w0, data, lam)
         W = mtl.solve(data, lam, SolverOptions(rel_tol=1e-12, max_iters=200), w0=w0)
-        assert mtl.objective(W, data, lam) <= f0 + 1e-12 * f0
+        assert oracles.objective(W, data, lam) <= f0 + 1e-12 * f0
 
     @pytest.mark.parametrize("n_rows", [0, 3, 12, 13, 50])
     def test_row_restricted_products_match_dense(self, n_rows):
@@ -259,9 +253,9 @@ class TestSolve:
             assert np.allclose(p, d.X @ w, rtol=1e-12, atol=1e-12)
 
     def test_solve_and_smooth_parts_share_helpers(self, monkeypatch):
-        # the gradient check (criterion 6) differentiates objective at
-        # lambda = 0 against oracles.smooth_grad; they must run the same
-        # helpers as solve
+        # the gradient check (criterion 6) differentiates the oracle's
+        # objective at lambda = 0 against oracles.smooth_grad: the gradient
+        # must run solve's own helpers, and the objective none of them
         calls = {"_products": 0, "_loss": 0, "_grad": 0}
         for name in calls:
             fn = getattr(mtl, name)
@@ -276,9 +270,10 @@ class TestSolve:
         assert all(calls.values())
         calls.update(dict.fromkeys(calls, 0))
         W = np.ones((10, 2))
-        mtl.objective(W, data, 0.0)
+        oracles.objective(W, data, 0.0)
+        assert calls == {"_products": 0, "_loss": 0, "_grad": 0}
         oracles.smooth_grad(W, data)
-        assert calls == {"_products": 2, "_loss": 1, "_grad": 1}
+        assert calls == {"_products": 1, "_loss": 0, "_grad": 1}
 
     @staticmethod
     def norm_test_rows(L, K):
@@ -353,13 +348,13 @@ class TestWorkingSet:
         for seed in range(3):
             data = random_instance(30 + seed, K=300, N=40)
             lam = frac * mtl.lambda_max(data, mode)
-            f_full = mtl.objective(
+            f_full = oracles.objective(
                 mtl._fista(data, lam, opts, np.zeros((300, 2)))[0], data, lam, mode
             )
             widths = self.spy_fista(monkeypatch)
             W = mtl.solve(data, lam, opts)
             monkeypatch.undo()
-            assert mtl.objective(W, data, lam, mode) <= f_full * (1 + 1e-4)
+            assert oracles.objective(W, data, lam, mode) <= f_full * (1 + 1e-4)
             # at 0.02 the working set outgrows a quarter of K and FISTA
             # still never runs on all K columns
             assert all(w < 300 for w in widths)
@@ -413,7 +408,7 @@ class TestWorkingSet:
         lam = 0.3 * mtl.lambda_max(data)
         w0 = mtl.solve(data, 0.5 * lam, SolverOptions(max_iters=20))
         W = mtl.solve(data, lam, w0=w0)
-        assert mtl.objective(W, data, lam) <= mtl.objective(w0, data, lam)
+        assert oracles.objective(W, data, lam) <= oracles.objective(w0, data, lam)
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
     def test_no_fista_at_lambda_max(self, monkeypatch, mode):
@@ -652,7 +647,7 @@ class TestCdOracle:
         n = len(y)
         b = (2.0 / n) * float(x @ y)
         a = (2.0 / n) * float(x @ x)
-        assert W[0, 0] == pytest.approx(mtl.soft_threshold(b, lam) / a, rel=1e-8)
+        assert W[0, 0] == pytest.approx(oracles.soft_threshold(b, lam) / a, rel=1e-8)
 
 
 class TestFitForBudget:

@@ -177,18 +177,20 @@ def test_predict_rows_gives_each_row_its_task():
 
     rows = [6, 2, 0, 5, 3]
     own = {ds.MALE: ds.MALE, ds.FEMALE: ds.FEMALE, ds.UNKNOWN: ridge.POOLED}
-    expected = [ridge.predict(model, features[r], own[genders[r]]) for r in rows]
+    block = features[:, model.selected]
+    expected = [ridge.predict_selected(model, block[r], own[genders[r]]) for r in rows]
     preds = pipeline.predict_rows(model, features, manifest, rows)
     assert np.abs(preds - expected).max() <= 1e-12
-    pooled = [ridge.predict(model, x, ridge.POOLED) for x in features]
+    pooled = [ridge.predict_selected(model, x, ridge.POOLED) for x in block]
     assert np.abs(pipeline.predict_rows(model, features) - pooled).max() <= 1e-12
     assert pipeline.predict_rows(model, features, manifest, []).shape == (0,)
 
 
 def test_predict_rows_has_the_bits_of_ridge_predict(tmp_path):
     # predict_rows gathers only the selected bins, from an array or the
-    # file; each task's predictions keep the bits ridge.predict gives for
-    # that task's full-width rows, whose product rounds by memory order
+    # file; each task's predictions keep the bits ridge.predict_selected
+    # gives for the selected bins of that task's full-width rows, whatever
+    # the memory order of the gather
     rng = np.random.default_rng(31)
     n, k = 90, 64
     features = rng.standard_normal((n, k)).astype(np.float32)
@@ -208,9 +210,9 @@ def test_predict_rows_has_the_bits_of_ridge_predict(tmp_path):
         preds = pipeline.predict_rows(model, source, manifest)
         for gender, task in own.items():
             rows = [i for i in range(n) if genders[i] == gender]
-            want = ridge.predict(model, features[rows], task)
+            want = ridge.predict_selected(model, features[rows][:, model.selected], task)
             assert preds[rows].tobytes() == want.tobytes()
-        pooled = ridge.predict(model, features, ridge.POOLED)
+        pooled = ridge.predict_selected(model, features[:, model.selected], ridge.POOLED)
         assert pipeline.predict_rows(model, source).tobytes() == pooled.tobytes()
 
 

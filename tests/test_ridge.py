@@ -184,42 +184,50 @@ def make_model(selected, weights, intercept, clamp=(0.0, 69.0), task="male"):
     return m
 
 
+def predict(model, x, task):
+    """Clamped ages of one full-length feature row or of each row of a
+    matrix, checked and gathered as pipeline.predict_rows does."""
+    x = np.asarray(x)
+    ridge.check_features(model, x.shape[-1], task)
+    return ridge.predict_selected(model, x[..., model.selected], task)
+
+
 class TestPredict:
     def test_zero_weights_gives_intercept(self):
         m = make_model([0, 2], [0.0, 0.0], 33.0)
-        assert ridge.predict(m, np.ones(5), "male") == pytest.approx(33.0)
+        assert predict(m, np.ones(5), "male") == pytest.approx(33.0)
 
     def test_clamp_floor(self):
         m = make_model([0], [1.0], 0.0, clamp=(0.0, 69.0))
-        assert ridge.predict(m, np.array([-4.0]), "male") == 0.0
+        assert predict(m, np.array([-4.0]), "male") == 0.0
 
     def test_unknown_task(self):
         m = make_model([0], [1.0], 0.0)
         with pytest.raises(UnknownTaskError):
-            ridge.predict(m, np.ones(3), "robot")
+            predict(m, np.ones(3), "robot")
 
     def test_feature_too_short(self):
         m = make_model([5], [1.0], 0.0)
         with pytest.raises(FeatureTooShortError):
-            ridge.predict(m, np.ones(3), "male")
+            predict(m, np.ones(3), "male")
 
     def test_unselected_bins_ignored(self):
         rng = np.random.default_rng(9)
         m = make_model([1, 3], [2.0, -1.0], 5.0, clamp=(-1e9, 1e9))
         x = rng.standard_normal(6)
-        base = ridge.predict(m, x, "male")
+        base = predict(m, x, "male")
         x2 = x.copy()
         x2[[0, 2, 4, 5]] = rng.standard_normal(4) * 100
-        assert ridge.predict(m, x2, "male") == pytest.approx(base)
+        assert predict(m, x2, "male") == pytest.approx(base)
 
     def test_matrix_equals_row_by_row(self):
         rng = np.random.default_rng(28)
         m = make_model([1, 4, 6], rng.standard_normal(3), 30.0, clamp=(25.0, 35.0))
         X = (rng.standard_normal((9, 8)) * 3).astype(np.float32)
-        preds = ridge.predict(m, X, "male")
+        preds = predict(m, X, "male")
         assert preds.shape == (9,)
-        assert np.abs(preds - [ridge.predict(m, x, "male") for x in X]).max() <= 1e-12
-        assert ridge.predict(m, X[:0], "male").shape == (0,)
+        assert np.abs(preds - [predict(m, x, "male") for x in X]).max() <= 1e-12
+        assert predict(m, X[:0], "male").shape == (0,)
 
     def test_selected_block_bits_do_not_depend_on_memory_order(self):
         # a product over a C-ordered block and one over an F-ordered block
@@ -239,7 +247,7 @@ class TestPredict:
         y = X @ w_true + 20
         w, b = ridge.fit_ridge(X, y, 1e-9)
         m = make_model([0, 1, 2, 3], w, b, clamp=(y.min(), y.max()))
-        assert ridge.predict(m, X[7], "male") == pytest.approx(y[7], abs=1e-3)
+        assert predict(m, X[7], "male") == pytest.approx(y[7], abs=1e-3)
 
 
 class TestFitModel:
@@ -254,7 +262,7 @@ class TestFitModel:
         rows = {"male": list(range(25)), "female": list(range(25, 55))}
         model = ridge.fit_model(features, ages, rows, np.array([2, 5]))
         assert set(model.weights) == {"male", "female", ridge.POOLED}
-        pred = ridge.predict(model, X1[0], "male")
+        pred = predict(model, X1[0], "male")
         assert pred == pytest.approx(float(X1[0] @ w + 30), abs=0.5)
 
     def test_too_few_samples_take_the_middle_of_the_grid(self):
@@ -271,7 +279,7 @@ class TestFitModel:
         X = rng.standard_normal((20, 6))
         y = rng.standard_normal(20) + 40
         model = ridge.fit_model(X, y, {"male": list(range(20))}, np.array([], dtype=int))
-        assert ridge.predict(model, X[0], "male") == pytest.approx(y.mean(), abs=1e-9)
+        assert predict(model, X[0], "male") == pytest.approx(y.mean(), abs=1e-9)
 
 
 def test_non_finite_selected_bin_is_rejected():
@@ -284,16 +292,16 @@ def test_non_finite_selected_bin_is_rejected():
     selected = np.array([1, 4])
     X[3, 0] = X[5, 5] = np.inf
     model = ridge.fit_model(X, y, rows, selected)
-    assert np.all(np.isfinite(ridge.predict(model, X, "female")))
+    assert np.all(np.isfinite(predict(model, X, "female")))
     for bad in (np.nan, np.inf, -np.inf):
         Y = X.copy()
         Y[15, 4] = bad  # a female-only row
         with pytest.raises(NonFiniteError):
             ridge.fit_model(Y, y, rows, selected)
         with pytest.raises(NonFiniteError):
-            ridge.predict(model, Y, "male")
+            predict(model, Y, "male")
         with pytest.raises(NonFiniteError):
-            ridge.predict(model, Y[15], ridge.POOLED)
+            predict(model, Y[15], ridge.POOLED)
 
 
 def test_fit_model_reads_a_feature_file_once(tmp_path, monkeypatch):
