@@ -152,9 +152,10 @@ class _Rows:
 class _Scaled:
     """``source`` standardized by the mean and std of its ``train_rows``,
     which are read whole, once, for them; a constant bin keeps std 1.
-    A gather returns a new ``(block - mean[bins]) / std[bins]``,
-    elementwise in the source's dtype, so an element has the same bits
-    whichever rows and bins come with it."""
+    A gather, ``v[rows]`` or ``v[np.ix_(rows, bins)]``, reads a new block
+    and scales it in place, with the bits of ``(block - mean[bins]) /
+    std[bins]`` elementwise in the source's dtype, so an element has the
+    same bits whichever rows and bins come with it."""
 
     def __init__(self, source, train_rows):
         train = source[train_rows]
@@ -165,7 +166,10 @@ class _Scaled:
 
     def __getitem__(self, key):
         bins = np.asarray(key[1])[0] if isinstance(key, tuple) else slice(None)
-        return (self.source[key] - self.mean[bins]) / self.std[bins]
+        block = self.source[key]  # an index-array gather: a copy, never a view
+        block -= self.mean[bins]
+        block /= self.std[bins]
+        return block
 
 
 def select_bins(manifest, features, config=RunConfig(), rows=None):
@@ -187,9 +191,11 @@ def select_bins(manifest, features, config=RunConfig(), rows=None):
     return mtl.fit_for_budget(tasks, config.budget, config.solver)
 
 
-def train_model(manifest, features, config=RunConfig(), selection=None, rows=None):
+def train_model(manifest, features, config=RunConfig(), selection=None, rows=None,
+                regressors=None):
     """Selection on ``rows`` (unless given) followed by per-task ridge
-    regressors, each fit on its task's rows of the selected bins.
+    regressors, each fit on its task's rows of the selected bins: those
+    named in ``regressors``, or all of them, as in ``ridge.fit_model``.
 
     ``features`` is an (N, K) array or a ``featfile.FeatureFile``, as in
     ``select_bins``. A selection run here reads the task rows through a
@@ -203,9 +209,20 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
     ages = [s.age for s in manifest.samples]
     model = ridge.fit_model(
         features, ages, ds.task_rows(rows, manifest), selection.selected,
-        config.alpha_grid, seed=config.seed,
+        config.alpha_grid, seed=config.seed, regressors=regressors,
     )
     return selection, model
+
+
+def _regressors(manifest, rows):
+    """The regressor that predicts each of ``rows``: the row's gender where
+    that is a task, else ``ridge.POOLED`` (for every row without a manifest)."""
+    tasks = np.full(len(rows), ridge.POOLED, dtype=object)
+    if manifest is not None:
+        for i, r in enumerate(rows):
+            if manifest.samples[r].gender in ds.TASKS:
+                tasks[i] = manifest.samples[r].gender
+    return tasks
 
 
 def predict_rows(model, features, manifest=None, rows=None):
@@ -217,11 +234,7 @@ def predict_rows(model, features, manifest=None, rows=None):
     if manifest is not None:
         ds.check_row_count(manifest, features)
     rows = np.arange(features.shape[0]) if rows is None else np.asarray(rows, dtype=int)
-    tasks = np.full(len(rows), ridge.POOLED, dtype=object)
-    if manifest is not None:
-        for i, r in enumerate(rows):
-            if manifest.samples[r].gender in ds.TASKS:
-                tasks[i] = manifest.samples[r].gender
+    tasks = _regressors(manifest, rows)
     preds = np.empty(len(rows))
     for task in dict.fromkeys(tasks):
         pick = tasks == task
@@ -238,7 +251,10 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
     whole matrix is never copied. The folds are cut from the manifest rows,
     which are the feature rows, whose age lies in ``config.age_range``.
     Each fold reads its task rows once in ``train_model``, and its held-out
-    rows' selected bins for the predictions. With ``config.standardize``
+    rows' selected bins for the predictions. The selection runs on every
+    task, but a fold fits only the ridge regressors its held-out rows are
+    predicted with, each with the bits a fit of all of them would give, so
+    the report is the same. With ``config.standardize``
     the fold reads through a ``_Scaled`` view, which reads the fold's
     training rows once more for their mean and std and standardizes only
     the blocks the fold reads, with the bits a standardized copy of the
@@ -254,7 +270,10 @@ def evaluate_lopo(manifest, features, config=RunConfig()):
         feats = features
         if config.standardize:
             feats = _Scaled(features, fold.train_rows)
-        _, model = train_model(manifest, feats, config, rows=fold.train_rows)
+        used = set(_regressors(manifest, fold.test_rows))
+        _, model = train_model(
+            manifest, feats, config, rows=fold.train_rows, regressors=used
+        )
         preds = predict_rows(model, feats, manifest, fold.test_rows)
         truth = np.array(
             [manifest.samples[r].age for r in fold.test_rows], dtype=np.float64

@@ -3,11 +3,13 @@
 The sparse selection solver underestimates coefficient magnitudes, so the
 final per-task age regressors are refit by ridge regression restricted to
 the selected bins. Fitting centers both features and labels, decomposes the
-centered Gram matrix once, and recovers an intercept; predictions are
-clamped to the training label range.
+centered Gram matrix once, and recovers an intercept; the cross-validation
+that picks the ridge weight scores its held-out splits from that same
+decomposition. Predictions are clamped to the training label range.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,25 +41,94 @@ class RidgeModel:
     clamp: tuple = (0.0, 130.0)  # (min_age, max_age) from training labels
 
 
-def _ridge_path(X, y, alphas):
-    """Centered ridge weights W (bins, alphas) of every alpha, x_mean and y_mean.
+class _Ridge:
+    """The centered ridge fits of one design X, labels y, all from one
+    eigendecomposition Xc^T Xc = V diag(e) V^T of the centered design
+    Xc = X - x_mean. X is taken in C order, so the bits of a fit do not
+    depend on its memory layout."""
 
-    With Xc^T Xc = V diag(e) V^T, W[:, j] = V diag(1 / (e + alphas[j])) V^T Xc^T yc;
-    e + alpha at or below numpy's matrix_rank tolerance raises SingularSystemError.
-    """
-    x_mean, y_mean = X.mean(axis=0), y.mean()
-    Xc = X - x_mean
-    e, V = np.linalg.eigh(Xc.T @ Xc)
-    shifted = e[:, None] + alphas  # (bins, alphas)
-    tol = np.finfo(np.float64).eps * len(e) * np.abs(e).max(initial=0.0)
-    singular = np.any(shifted <= tol, axis=0)
-    if singular.any():
-        raise SingularSystemError(
-            f"normal equations singular (alpha={alphas[singular][0]}); "
-            "increase alpha"
-        )
-    W = V @ ((V.T @ (Xc.T @ (y - y_mean)))[:, None] / shifted)
-    return W, x_mean, y_mean
+    def __init__(self, X, y):
+        X = np.ascontiguousarray(X, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+            raise ShapeMismatchError(f"X {X.shape} vs y {y.shape}")
+        self.X, self.y = X, y
+        self.x_mean, self.y_mean = X.mean(axis=0), y.mean()
+        self.Xc = X - self.x_mean
+
+    @cached_property
+    def eig(self):
+        return np.linalg.eigh(self.Xc.T @ self.Xc)
+
+    def path(self, alphas):
+        """Centered weights W (bins, alphas) of every alpha:
+        W[:, j] = V diag(1 / (e + alphas[j])) V^T Xc^T yc. An e + alpha at
+        or below numpy's matrix_rank tolerance raises SingularSystemError."""
+        e, V = self.eig
+        shifted = e[:, None] + alphas  # (bins, alphas)
+        tol = np.finfo(np.float64).eps * len(e) * np.abs(e).max(initial=0.0)
+        singular = np.any(shifted <= tol, axis=0)
+        if singular.any():
+            raise SingularSystemError(
+                f"normal equations singular (alpha={alphas[singular][0]}); "
+                "increase alpha"
+            )
+        return V @ ((V.T @ (self.Xc.T @ (self.y - self.y_mean)))[:, None] / shifted)
+
+    def fit(self, alpha):
+        """(weights, intercept) at ridge weight ``alpha``."""
+        if alpha < 0:
+            raise ValueError(f"alpha must be nonnegative, got {alpha}")
+        W = self.path(np.array([alpha], dtype=np.float64))
+        return W[:, 0], self.y_mean - float(self.x_mean @ W[:, 0])
+
+    def select_alpha(self, grid, seed):
+        """``select_alpha(X, y, grid, seed)``, from this decomposition."""
+        grid = list(grid)
+        if not grid:
+            raise GridEmptyError("empty alpha grid")
+        if min(grid) < 0:
+            raise ValueError(f"alpha must be nonnegative, got {min(grid)}")
+        n = len(self.y)
+        if n < CV_FOLDS:
+            raise TooFewSamplesError(f"{n} samples cannot form {CV_FOLDS} folds")
+        if len(grid) == 1:
+            return grid[0]
+
+        order = np.random.default_rng(seed).permutation(n)
+        bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
+        folds = [order[bounds[i] : bounds[i + 1]] for i in range(CV_FOLDS)]
+        alphas = np.array(grid, dtype=np.float64)
+        e, V = self.eig
+        # a split's centered Gram matrix is below the whole design's, so
+        # only a weight of at most sqrt(eps) e_max can meet the singularity
+        # rule on a split; such weights take it on each split's own fit
+        low = alphas <= np.sqrt(np.finfo(np.float64).eps) * e.max(initial=0.0)
+        if low.any():
+            for fold in folds:
+                keep = np.ones(n, dtype=bool)
+                keep[fold] = False
+                _Ridge(self.X[keep], self.y[keep]).path(alphas[low])
+        # The whole fit's hat matrix is H = U diag(c) U^T, with U = [1/sqrt(n),
+        # Xc V] and c = 1 / [1, e + alpha]: the intercept is not penalized.
+        # The held-out residuals of split F are (I - H_FF)^{-1} r_F, from the
+        # whole fit's residuals r, solved in the held-out rows or, by the
+        # Woodbury identity, as r_F + U_F (diag(1/c) - U_F^T U_F)^{-1} U_F^T r_F
+        # in the bins, whichever system is smaller.
+        resid = (self.y - self.y_mean)[:, None] - self.Xc @ self.path(alphas)
+        inv_c = np.vstack([np.ones(len(grid)), e[:, None] + alphas]).T  # (alphas, 1 + bins)
+        U = np.column_stack([np.full(n, n ** -0.5), self.Xc @ V])
+        mae = np.zeros(len(grid))
+        for fold in folds:
+            Uf, r = U[fold], resid[fold].T[..., None]  # r: (alphas, rows, 1)
+            if len(fold) <= Uf.shape[1]:
+                hat = (Uf / inv_c[:, None, :]) @ Uf.T
+                held = np.linalg.solve(np.eye(len(fold)) - hat, r)
+            else:
+                inner = np.eye(Uf.shape[1]) * inv_c[:, None, :] - Uf.T @ Uf
+                held = r + Uf @ np.linalg.solve(inner, Uf.T @ r)
+            mae += np.mean(np.abs(held[..., 0]), axis=1)
+        return grid[max(range(len(grid)), key=lambda j: (-mae[j], grid[j]))]
 
 
 def fit_ridge(X, y, alpha):
@@ -67,14 +138,7 @@ def fit_ridge(X, y, alpha):
     otherwise SingularSystemError is raised. X is taken in C order, so the
     result's bits do not depend on its memory layout.
     """
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ShapeMismatchError(f"X {X.shape} vs y {y.shape}")
-    if alpha < 0:
-        raise ValueError(f"alpha must be nonnegative, got {alpha}")
-    W, x_mean, y_mean = _ridge_path(X, y, np.array([alpha], dtype=np.float64))
-    return W[:, 0], y_mean - float(x_mean @ W[:, 0])
+    return _Ridge(X, y).fit(alpha)
 
 
 def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
@@ -82,73 +146,60 @@ def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
 
     The CV_FOLDS folds are contiguous blocks of a seeded shuffle, so the
     choice is deterministic for a given seed. A one-value grid is returned
-    without cross-validation. Each training split takes one _ridge_path
-    call for the whole grid, so a grid value that is numerically singular
-    on a split raises SingularSystemError, as fit_ridge would. X is taken
-    in C order, as in fit_ridge.
+    without cross-validation. Every split is scored from one
+    eigendecomposition of the whole design, through the block-deletion
+    identity for linear smoothers: a split's held-out residuals are
+    (I - H_FF)^{-1} r_F, where H is the whole fit's hat matrix and r its
+    residuals (Golub, Heath & Wahba, Technometrics 1979). The singularity
+    rule still holds on each training split: a grid value that is
+    numerically singular on one raises SingularSystemError, as fit_ridge
+    on that split would. X is taken in C order, as in fit_ridge.
     """
-    grid = list(grid)
-    if not grid:
-        raise GridEmptyError("empty alpha grid")
-    if min(grid) < 0:
-        raise ValueError(f"alpha must be nonnegative, got {min(grid)}")
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    n = len(y)
-    if n < CV_FOLDS:
-        raise TooFewSamplesError(f"{n} samples cannot form {CV_FOLDS} folds")
-    if len(grid) == 1:
-        return grid[0]
-
-    order = np.random.default_rng(seed).permutation(n)
-    bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
-    alphas = np.array(grid, dtype=np.float64)
-    mae = np.zeros(len(grid))
-    for i in range(CV_FOLDS):
-        fold = order[bounds[i] : bounds[i + 1]]
-        keep = np.ones(n, dtype=bool)
-        keep[fold] = False
-        train = keep.nonzero()[0]  # ascending, as np.setdiff1d(order, fold)
-        W, x_mean, y_mean = _ridge_path(X[train], y[train], alphas)
-        pred = (X[fold] - x_mean) @ W + y_mean
-        mae += np.mean(np.abs(pred - y[fold][:, None]), axis=0)
-
-    return grid[max(range(len(grid)), key=lambda j: (-mae[j], grid[j]))]
+    return _Ridge(X, y).select_alpha(grid, seed)
 
 
-def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, seed=0):
+def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, seed=0,
+              regressors=None):
     """Fit per-task ridge regressors (plus a pooled fallback) on selected bins.
 
     ``features`` and ``ages`` hold one entry per manifest row, and ``rows``
     maps task label -> manifest rows, as ``dataset.task_rows`` gives them.
     The pooled model under the key "pooled" is fit on every task's rows,
     each once where it first appears, and serves rows whose task label is
-    unknown at prediction time. ``features`` is an (N, K) array or a
-    ``featfile.FeatureFile``, read once: one gather
-    ``features[np.ix_(pooled, selected)]``, in which a non-finite value
-    raises NonFiniteError, and every fit takes its rows from that block.
-    A task with fewer samples than CV_FOLDS takes the middle of the grid.
+    unknown at prediction time. ``regressors``, if given, names the ones
+    to fit (default: every task of ``rows`` and "pooled"); the clamp comes
+    from every row's age all the same. ``features`` is an (N, K) array or
+    a ``featfile.FeatureFile``, read once: one gather of the selected bins
+    of the fitted regressors' rows, in which a non-finite value raises
+    NonFiniteError, and every fit takes its rows from that block.
+
+    Each regressor decomposes its design once: the cross-validation of
+    ``select_alpha`` and the final fit of ``fit_ridge`` both come from that
+    decomposition, with the bits those two calls would give. A task with
+    fewer samples than CV_FOLDS takes the middle of the grid.
     """
     selected = np.asarray(selected, dtype=int)
     ages = np.asarray(ages, dtype=np.float64)
     model = RidgeModel(selected=selected)
     pooled = list(dict.fromkeys(r for idx in rows.values() for r in idx))
-    at = {r: i for i, r in enumerate(pooled)}  # manifest row -> row of block
-    block = features[np.ix_(pooled, selected)].astype(np.float64)
+    fits = {**rows, POOLED: pooled}
+    if regressors is not None:
+        fits = {task: idx for task, idx in fits.items() if task in regressors}
+    read = list(dict.fromkeys(r for idx in fits.values() for r in idx))
+    at = {r: i for i, r in enumerate(read)}  # manifest row -> row of block
+    block = features[np.ix_(read, selected)].astype(np.float64)
     finite = np.isfinite(block).all(axis=1)
     if not finite.all():
-        bad = pooled[finite.argmin()]
+        bad = read[finite.argmin()]
         raise NonFiniteError(f"feature row {bad}: non-finite value in a selected bin")
-    for task, idx in {**rows, POOLED: pooled}.items():
-        Xs, y = block[[at[r] for r in idx]], ages[idx]
+    for task, idx in fits.items():
+        fit = _Ridge(block[[at[r] for r in idx]], ages[idx])
         try:
-            alpha = select_alpha(Xs, y, alpha_grid, seed)
+            alpha = fit.select_alpha(alpha_grid, seed)
         except TooFewSamplesError:
             grid = list(alpha_grid)
             alpha = grid[len(grid) // 2]  # too few samples to cross-validate
-        w, b = fit_ridge(Xs, y, alpha)
-        model.weights[task] = w
-        model.intercepts[task] = b
+        model.weights[task], model.intercepts[task] = fit.fit(alpha)
         model.alphas[task] = alpha
     model.clamp = (float(ages[pooled].min()), float(ages[pooled].max()))
     return model

@@ -162,6 +162,27 @@ def test_standardized_constant_bin_keeps_its_scale():
         assert np.array_equal(out[:, k], (features[:, k] - mean[k]) / std[k])
 
 
+def test_scaled_gather_has_the_bits_of_the_scaled_block(tmp_path):
+    # a gather is scaled in place, with the bits of (block - mean) / std,
+    # from an array or the file; the array it reads is left as it was
+    rng = np.random.default_rng(37)
+    features = (3 + 5 * rng.standard_normal((30, 20))).astype(np.float32)
+    features[:, 4] = 7.0
+    before = features.copy()
+    path = str(tmp_path / "f.gfv")
+    featfile.write_features(path, features)
+    train, rows, bins = np.arange(0, 30, 2), [5, 1, 22, 5], [19, 4, 0, 7]
+    for source in (features, featfile.FeatureFile(path)):
+        view = pipeline._Scaled(source, train)
+        for key, block in ((rows, features[rows]),
+                           (np.ix_(rows, bins), features[np.ix_(rows, bins)])):
+            at = np.asarray(key[1])[0] if isinstance(key, tuple) else slice(None)
+            want = (block - view.mean[at]) / view.std[at]
+            got = view[key]
+            assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    assert features.tobytes() == before.tobytes()
+
+
 def test_predict_rows_gives_each_row_its_task():
     rng = np.random.default_rng(29)
     genders = [ds.MALE, ds.FEMALE, ds.UNKNOWN, ds.FEMALE, ds.MALE, ds.UNKNOWN, ds.FEMALE]
@@ -252,12 +273,13 @@ def test_pooled_ridge_sees_each_training_row_once(monkeypatch):
     )
     features = rng.standard_normal((len(genders), 6)).astype(np.float32)
     selection = mtl.SelectionResult(1.0, np.zeros((6, 2)), np.array([1, 4]))
-    alphas = recording(monkeypatch, ridge, "select_alpha")
-    pipeline.train_model(manifest, features, selection=selection)
+    fits = recording(monkeypatch, ridge, "_Ridge")
+    _, model = pipeline.train_model(manifest, features, selection=selection)
 
     order = [r for r, g in enumerate(genders) if g != ds.FEMALE]
     order += [r for r, g in enumerate(genders) if g == ds.FEMALE]
-    X, y = alphas[-1][:2]  # male, female, then the pooled fit
+    assert list(model.weights) == [ds.MALE, ds.FEMALE, ridge.POOLED]
+    X, y = fits[-1][:2]  # male, female, then the pooled fit
     assert len(order) == len(X) == 30
     assert np.array_equal(X, features[order][:, [1, 4]])
     assert np.array_equal(y, ages[order])
@@ -325,7 +347,8 @@ def test_only_extraction_imports_the_thread_pool():
 
 def whole_matrix_lopo(manifest, features, config):
     """The reference LOPO on the whole matrix in memory: the age filter
-    and each fold's standardization make new matrices."""
+    and each fold's standardization make new matrices. Each fold fits the
+    regressors its held-out rows' genders pick."""
     if config.age_range is not None:
         lo, hi = config.age_range
         keep = [i for i, s in enumerate(manifest.samples) if lo <= s.age <= hi]
@@ -339,7 +362,10 @@ def whole_matrix_lopo(manifest, features, config):
             mean, std = train.mean(axis=0), train.std(axis=0)
             std[(std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
             feats = (features - mean) / std
-        _, model = pipeline.train_model(manifest, feats, config, rows=fold.train_rows)
+        genders = {manifest.samples[r].gender for r in fold.test_rows}
+        used = {g if g in ds.TASKS else ridge.POOLED for g in genders}
+        _, model = pipeline.train_model(
+            manifest, feats, config, rows=fold.train_rows, regressors=used)
         preds = pipeline.predict_rows(model, feats, manifest, fold.test_rows)
         truth = np.array([manifest.samples[r].age for r in fold.test_rows], dtype=float)
         results.append((fold.held_out_person, preds, truth))
@@ -378,6 +404,37 @@ def test_file_backed_lopo_has_the_whole_matrix_bits(
     kept = [s for s in manifest.samples if age_range is None or 10 <= s.age <= 50]
     assert len(want[0]) == len({s.person_id for s in kept}) > 10
     assert got == want
+
+
+def test_lopo_report_is_that_of_fitting_every_regressor(tmp_path, monkeypatch):
+    # a fold fits only the regressors its held-out rows are predicted with:
+    # one for a person of one gender or of none, two for the person whose
+    # rows mix a gender with none; the report keeps the bits of folds that
+    # fit all three
+    rng = np.random.default_rng(38)
+    genders = [(ds.MALE, ds.FEMALE, ds.UNKNOWN)[i // 3 % 3] for i in range(48)]
+    genders[12:15] = [ds.MALE, ds.UNKNOWN, ds.MALE]  # person p4
+    features = rng.standard_normal((48, 40)).astype(np.float32)
+    ages = np.clip(np.rint(35 + features[:, [2, 9, 30]] @ [6.0, -5.0, 4.0]), 0, 90)
+    manifest = ds.Manifest([ds.Sample(f"synthetic:{i}", f"p{i // 3}", int(a), g)
+                            for i, (g, a) in enumerate(zip(genders, ages))])
+    config = pipeline.RunConfig(budget=5)
+    train, fitted = pipeline.train_model, []
+
+    def spy(*args, **kwargs):
+        selection, model = train(*args, **kwargs)
+        fitted.append(set(model.weights))
+        return selection, model
+
+    monkeypatch.setattr(pipeline, "train_model", spy)
+    report = metrics.format_report(pipeline.evaluate_lopo(manifest, features, config))
+    own = {ds.MALE: {ds.MALE}, ds.FEMALE: {ds.FEMALE}, ds.UNKNOWN: {ridge.POOLED}}
+    assert fitted == [own[genders[3 * i]] for i in range(4)] + [
+        {ds.MALE, ridge.POOLED}] + [own[genders[3 * i]] for i in range(5, 16)]
+    monkeypatch.setattr(pipeline, "train_model",
+                        lambda *args, regressors=None, **kwargs: train(*args, **kwargs))
+    everything = pipeline.evaluate_lopo(manifest, features, config)
+    assert report == metrics.format_report(everything)
 
 
 @pytest.mark.parametrize("standardize", [False, True])

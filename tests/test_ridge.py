@@ -175,6 +175,17 @@ class TestSelectAlpha:
         assert ridge.select_alpha(X, y, [0.1, 1.0]) in (0.1, 1.0)
 
 
+    def test_zero_alpha_on_rank_deficient_splits_of_a_full_rank_design(self):
+        # 30 rows of 26 bins have full column rank, but each 24-row training
+        # split has rank at most 23 after centering
+        rng = np.random.default_rng(39)
+        X = rng.standard_normal((30, 26))
+        y = rng.standard_normal(30)
+        assert np.linalg.matrix_rank(X - X.mean(axis=0)) == 26
+        ridge.fit_ridge(X, y, 0.0)
+        with pytest.raises(SingularSystemError):
+            ridge.select_alpha(X, y, [0.0, 1.0])
+
 def make_model(selected, weights, intercept, clamp=(0.0, 69.0), task="male"):
     m = ridge.RidgeModel(selected=np.asarray(selected, dtype=int))
     m.weights[task] = np.asarray(weights, dtype=np.float64)
@@ -273,6 +284,29 @@ class TestFitModel:
             alpha_grid=[0.1, 1.0, 10.0],
         )
         assert model.alphas == {"male": 1.0, ridge.POOLED: 1.0}
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_each_regressor_is_fit_ridge_at_select_alpha(self, monkeypatch, seed):
+        # one eigendecomposition per regressor gives the bits of
+        # select_alpha's cross-validation and fit_ridge's final fit
+        rng = np.random.default_rng(41)
+        X = rng.standard_normal((60, 12)).astype(np.float32)
+        ages = np.rint(30 + X[:, [1, 5, 8]] @ [4.0, -3.0, 2.0] + rng.standard_normal(60))
+        rows = {"male": [*range(0, 60, 2), 7, 21], "female": list(range(1, 60, 2))}
+        rows["male"].sort()
+        selected, grid = np.array([1, 3, 5, 8, 10]), [0.01, 0.1, 1.0, 10.0, 100.0]
+        eigh, calls = np.linalg.eigh, []
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a) or eigh(a))
+        model = ridge.fit_model(X, ages, rows, selected, grid, seed)
+        assert len(calls) == 3
+        pooled = rows["male"] + [r for r in rows["female"] if r not in rows["male"]]
+        for task, idx in {**rows, ridge.POOLED: pooled}.items():
+            Xs = X[np.ix_(idx, selected)].astype(np.float64)
+            alpha = ridge.select_alpha(Xs, ages[idx], grid, seed)
+            w, b = ridge.fit_ridge(Xs, ages[idx], alpha)
+            assert model.alphas[task] == alpha
+            assert model.weights[task].tobytes() == w.tobytes()
+            assert model.intercepts[task] == b
 
     def test_empty_selection_intercept_only(self):
         rng = np.random.default_rng(12)
