@@ -19,16 +19,17 @@ and support all take one row norm, ``_row_norms``, so they read the same
 bits.
 
 The KKT check decides every row in float64 without a full-width product
-on most passes (``_Screen``). The lambda search's one screen keeps the
-row scores of the last full-width gradient, taken in X's dtype, as a
-reference; in either mode a row's score at new products lies within its
-reference score ± ||t_k||, a bound from its column norms and how far the
-products moved, so only the rows whose interval reaches lambda, and that
-can still rank among the rows that join, are scored, each in float64
-from its own column. When more columns would be gathered than the
-product reads, the product is taken again and becomes the new
-reference. The decisions, and so ``solve``'s result, do not depend on
-which reference the screen carries.
+on most passes (``_Screen``). The lambda search's one screen checks its
+tasks and measures their column norms once, and keeps the row scores of
+the last full-width gradient, taken in X's dtype, as a reference; in
+either mode a row's score at new products lies within its reference
+score ± ||t_k||, a bound from its column norms and how far the products
+moved, so only the rows whose interval reaches lambda, and that can still
+rank among the rows that join, are scored, each in float64 from its own
+column. When more columns would be gathered than the product reads, the
+product is taken again and becomes the new reference. The decisions, and
+so ``solve``'s result, do not depend on which reference the screen
+carries.
 ``lambda_max`` is the largest float64 score at W = 0 from the same
 scoring, so at lambda_max ``solve`` from zero finds no violator.
 
@@ -48,7 +49,6 @@ working set.
 """
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,18 +70,17 @@ SUPPORT_EPSILON = 1e-8  # row norm above which a bin counts as selected
 MAX_BISECT = 40  # most solves one lambda search makes
 CACHE_LINE = 64  # bytes read per element when gathering a column of a row-major X
 SCORE_BLOCK = 128  # columns _exact_scores gathers and casts to float64 at a time
-_Columns = namedtuple("_Columns", "X y")  # a task on float64 working-set columns
 
 
 @dataclass(eq=False)
 class TaskDataset:
-    """Design matrix and age labels for one task (one gender).
+    """Design matrix and age labels for one task (one gender); FISTA's
+    tasks on float64 working-set columns are TaskDatasets too.
 
-    The task also keeps what the solver's KKT screen reads (``_Screen``):
-    upper bounds on its squared column norms, taken once in X's dtype and
-    rounded up by the error bound of that sum; the lambda search owns the
-    screen itself. Tasks compare by identity; X and y must not change once
-    the task is made.
+    The task checks only its shapes and carries no solver state: the
+    lambda search's KKT screen (``_Screen``) checks its entries and
+    measures its columns. Tasks compare by identity; X and y must not
+    change once the task is made.
     """
 
     task_id: str
@@ -97,16 +96,6 @@ class TaskDataset:
             )
         if self.X.shape[0] < 1:
             raise ShapeMismatchError(f"task {self.task_id}: empty dataset")
-        with np.errstate(over="ignore"):  # an overflow is an infinite bound
-            c2 = np.einsum("ij,ij->j", self.X, self.X)
-        # a non-finite entry leaves its column's sum non-finite, so X is
-        # scanned only when a sum is
-        if not (np.isfinite(c2).all() or np.isfinite(self.X).all()) or not np.isfinite(
-            self.y
-        ).all():
-            raise NonFiniteError(f"task {self.task_id}: non-finite entries")
-        self._norms2 = np.multiply(c2, 1.0 + 2.0 * _gamma(self.n, self.X.dtype),
-                                   dtype=np.float64)
 
     @property
     def n(self):
@@ -140,15 +129,6 @@ class SelectionResult:
     W: np.ndarray
     selected: np.ndarray  # ascending bin indices
     epsilon: float = SUPPORT_EPSILON
-
-
-def _check_shapes(W, data):
-    k = data[0].k
-    for d in data:
-        if d.k != k:
-            raise ShapeMismatchError("tasks disagree on feature dimension")
-    if W.shape != (k, len(data)):
-        raise ShapeMismatchError(f"W shape {W.shape}, expected {(k, len(data))}")
 
 
 def _nonzero_rows(W):
@@ -242,7 +222,10 @@ class _Screen:
     """The KKT check of ``solve``: which rows outside the working set break
     their zero-row condition at products P, decided in float64.
 
-    A screen serves one mode and one list of tasks. Its reference is the
+    A screen serves one mode and one list of tasks. Once, it checks them
+    (at least one, all of one width, X and y finite) and takes upper
+    bounds c_kl^2 on their squared column norms, summed in X's dtype and
+    rounded up by that sum's error bound. Its reference is the
     last full-width pass over them: products p̂_l, ρ̂_l = ||p̂_l - y_l|| and
     each row's score s_k of the gradient computed in X's dtype. A task's
     gradient depends only on its own w_l, so a reference from any earlier
@@ -263,7 +246,8 @@ class _Screen:
     Once the columns scored against the reference would gather more bytes
     than one full-width product reads, the product is taken at P instead
     and becomes the reference. A non-finite reference score bounds nothing
-    (NaN).
+    (NaN); a row whose float64 score is not finite cannot be decided, and
+    raises NonFiniteError.
 
     The lambda search owns its screen: ``fit_for_budget`` makes one and
     passes it to ``lambda_max`` and every ``solve``, so each solve starts
@@ -272,8 +256,19 @@ class _Screen:
 
     def __init__(self, data, mode):
         self.data, self.mode = tuple(data), mode
-        self.c2 = np.column_stack([d._norms2 for d in data])
+        if not self.data or any(d.k != self.data[0].k for d in self.data):
+            raise ShapeMismatchError("no tasks, or tasks of different widths")
         self.gammas = [(_gamma(d.n, d.X.dtype), _gamma(d.n, np.float64)) for d in data]
+        self.c2 = np.empty((self.data[0].k, len(data)))
+        for l, (d, (g, _)) in enumerate(zip(self.data, self.gammas)):
+            with np.errstate(over="ignore"):  # an overflow is an infinite bound
+                s2 = np.einsum("ij,ij->j", d.X, d.X)
+            # a non-finite entry leaves its column's sum non-finite, so X is
+            # scanned only when a sum is
+            finite = np.isfinite(s2).all() or np.isfinite(d.X).all()
+            if not (finite and np.isfinite(d.y).all()):
+                raise NonFiniteError(f"task {d.task_id}: non-finite entries")
+            self.c2[:, l] = np.multiply(s2, 1.0 + 2.0 * g, dtype=np.float64)
         self.slack = 4 * (len(data) + 4) * np.finfo(np.float64).eps
         # gathering a column of a row-major X reads one cache line per row
         self.max_gather = sum(d.X.nbytes for d in data) // (CACHE_LINE * sum(d.n for d in data))
@@ -294,9 +289,9 @@ class _Screen:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow bounds nothing
             G = _grad(P, data, np.empty((data[0].k, len(data)), order="F"))
             score = _scores(G, self.mode)
+            self.rho = [float(np.linalg.norm(p - d.y)) for p, d in zip(P, data)]
         score[~np.isfinite(score)] = np.nan
         self.P, self.score = P, score
-        self.rho = [float(np.linalg.norm(p - d.y)) for p, d in zip(P, data)]
         self.gathered = 0
 
     def _candidates(self, P, ws, lam, n, room):
@@ -337,7 +332,10 @@ class _Screen:
         if not len(rows):
             return rows, np.zeros(0)
         self.gathered += len(rows)
-        score = _exact_scores(P, self.data, rows, self.mode)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            score = _exact_scores(P, self.data, rows, self.mode)
+        if not np.isfinite(score).all():
+            raise NonFiniteError(f"bin {rows[~np.isfinite(score)][0]}: KKT score is not finite")
         over = score > lam
         rows, score = rows[over], score[over]
         order = np.argsort(-score, kind="stable")[:n]
@@ -351,10 +349,11 @@ def lambda_max(data, mode=MODE_MTL, *, screen=None):
     scores its rows (``_Screen``), so ``solve`` from zero at any lam >=
     lambda_max finds no violator and runs no FISTA. On a new ``screen``
     (the lambda search's, else the call's own) its pass at W = 0 is the
-    first reference.
+    first reference. A score that is not finite, as when the float64
+    gradient overflows, raises NonFiniteError.
     """
-    P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
     screen = _Screen.serving(screen, data, mode)
+    P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
     _, score = screen.violators(P, np.zeros(0, dtype=np.intp), 0.0, 1)
     return float(score[0]) if len(score) else 0.0
 
@@ -385,20 +384,22 @@ def solve(data, lam, opts=SolverOptions(), w0=None, *, screen=None):
     """
     if lam < 0:
         raise NegativeLambdaError(f"lambda = {lam}")
-    k, n_tasks = data[0].k, len(data)
-    W = np.zeros((k, n_tasks)) if w0 is None else np.array(w0, dtype=np.float64)
-    _check_shapes(W, data)
-    ws = _nonzero_rows(W)
     screen = _Screen.serving(screen, data, opts.mode)
+    shape = (data[0].k, len(data))
+    W = np.zeros(shape) if w0 is None else np.array(w0, dtype=np.float64)
+    if W.shape != shape:
+        raise ShapeMismatchError(f"W shape {W.shape}, expected {shape}")
+    ws = _nonzero_rows(W)
     while True:
         P = [np.zeros(d.n) for d in data]  # X_l w_l at W = 0
         if len(ws):
-            sub = [_Columns(d.X[:, ws].astype(np.float64, copy=False), d.y) for d in data]
+            sub = [TaskDataset(d.task_id, d.X[:, ws].astype(np.float64, copy=False), d.y)
+                   for d in data]
             W[ws], P = _fista(sub, lam, opts, W[ws])
         grow, _ = screen.violators(P, ws, lam, max(20, len(ws)))
         if not len(grow):
             return W
-        ws = np.union1d(ws, grow)
+        ws = np.sort(np.concatenate([ws, grow]))  # grow lies outside ws
 
 
 def _fista(data, lam, opts, w0):
@@ -476,11 +477,10 @@ def fit_for_budget(data, budget, opts=SolverOptions()):
     labels) that bracket is closed before the first solve, and the result
     is lambda 0 with no bins.
     """
+    screen = _Screen(data, opts.mode)
     k = data[0].k
     if not (1 <= budget <= k):
         raise BudgetOutOfRangeError(f"budget {budget} outside [1, {k}]")
-
-    screen = _Screen(data, opts.mode)
     lam_hi = lambda_max(data, opts.mode, screen=screen)
     best = SelectionResult(lam_hi, np.zeros((k, len(data))), np.array([], dtype=int))
     lo, hi = 0.0, lam_hi

@@ -121,8 +121,8 @@ class _Rows:
     """``source``, an (N, K) array or a ``featfile.FeatureFile``, read
     through a cache: its ``.shape``, ``v[rows]`` and ``v[np.ix_(rows,
     bins)]``. The view keeps each row block it returns, and a (rows, bins)
-    gather of rows that those blocks hold is cut from them instead of read
-    again."""
+    gather is cut from those blocks instead of read again, so it may name
+    only rows that they hold."""
 
     def __init__(self, source):
         self.source, self.shape = source, source.shape
@@ -140,12 +140,10 @@ class _Rows:
             return block
         rows, bins = np.asarray(key[0])[:, 0], np.asarray(key[1])[0]
         kept = self._block_of[rows]
-        if len(rows) == 0 or (kept < 0).any():
-            return self.source[key]
         out = np.empty((len(rows), len(bins)), dtype=self._blocks[0].dtype)
-        for b in np.unique(kept):
+        for b, block in enumerate(self._blocks):
             at = kept == b
-            out[at] = self._blocks[b][np.ix_(self._row_in[rows[at]], bins)]
+            out[at] = block[np.ix_(self._row_in[rows[at]], bins)]
         return out
 
 

@@ -164,7 +164,10 @@ def test_reader_refuses_a_file_rewritten_with_another_shape(tmp_path):
         f[[0]]
 
 
-@pytest.mark.parametrize("key", [([1], [2]), (np.array([[1]]),), ([[1]], [[2]], [[3]])])
+@pytest.mark.parametrize("key", [
+    ([1], [2]), (np.array([[1]]),), ([[1]], [[2]], [[3]]),
+    [0.0], [True], np.ix_([1.5], [0]),  # rows that are not integers
+])
 def test_reader_takes_only_rows_or_an_ix_pair(tmp_path, key):
     f, _, _ = reader_and_matrix(tmp_path)
     with pytest.raises(IndexError):
@@ -231,4 +234,23 @@ def test_a_directory_target_fails_before_any_block(tmp_path):
 
     with pytest.raises(IsADirectoryError):
         featfile.write_blocks(str(tmp_path), blocks())
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_stale_hidden_file_is_passed_over_and_kept(tmp_path):
+    # a hidden file left under the first name this process would use
+    stale = tmp_path / f".f.gfv.{os.getpid()}-0.part"
+    stale.write_bytes(b"stale")
+    path = write_rows(tmp_path, np.ones((2, 3)))
+    assert featfile.read_features(path).shape == (2, 3)
+    assert stale.read_bytes() == b"stale"
+    assert sorted(os.listdir(tmp_path)) == sorted([stale.name, "f.gfv"])
+
+
+def test_a_missing_directory_is_named_by_the_target(tmp_path):
+    target = str(tmp_path / "absent" / "f.gfv")
+    with pytest.raises(FileNotFoundError) as info:
+        featfile.write_blocks(target, [np.ones((1, 2))])
+    assert info.value.filename == os.path.realpath(target)
+    assert ".part" not in str(info.value)
     assert os.listdir(tmp_path) == []

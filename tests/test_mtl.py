@@ -299,21 +299,27 @@ class TestSolve:
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_support_and_lambda_max_read_the_same_norm(self, order):
         # with three tasks the solver's row norm, the norm support thresholds
-        # and lambda_max's norm must all be the bits of np.linalg.norm
+        # and lambda_max's norm must all be the bits of np.linalg.norm; the
+        # row whose norm overflows has no lambda_max
         G = np.asarray(self.norm_test_rows(3, 256), order=order)
+
+        def lam_max(i):
+            return mtl.lambda_max([TaskDataset(f"t{l}", G[i:i + 1, l:l + 1], [0.5])
+                                   for l in range(3)])  # gradient 2 * x * 0.5 = x
+
         with np.errstate(over="ignore"):
             ref = np.linalg.norm(G, axis=1)
             got = mtl._row_norms(G)
-            lam = np.array([
-                mtl.lambda_max([TaskDataset(f"t{l}", G[i:i + 1, l:l + 1], [0.5])
-                                for l in range(3)])  # gradient 2 * x * 0.5 = x
-                for i in range(len(G))
-            ])
             for i, r in enumerate(ref):
                 assert i not in mtl.support(G, r)
                 assert i in mtl.support(G, np.nextafter(r, -np.inf))
+        finite = np.flatnonzero(np.isfinite(ref))
+        assert np.array_equal(np.flatnonzero(~np.isfinite(ref)), [3])
+        with pytest.raises(NonFiniteError):
+            lam_max(3)
+        lam = np.array([lam_max(i) for i in finite])
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-        assert np.array_equal(lam.view(np.uint64), ref.view(np.uint64))
+        assert np.array_equal(lam.view(np.uint64), ref[finite].view(np.uint64))
 
 
 class TestWorkingSet:
@@ -444,7 +450,7 @@ class TestScreen:
     @staticmethod
     def products(data, W):
         ws = mtl._nonzero_rows(W)
-        sub = [mtl._Columns(d.X[:, ws].astype(np.float64), d.y) for d in data]
+        sub = [TaskDataset(d.task_id, d.X[:, ws].astype(np.float64), d.y) for d in data]
         return ws, mtl._products(W[ws], sub)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -613,22 +619,97 @@ class TestScreen:
             assert (frac < 1) == W.any()
 
 
+def searches(data):
+    """The entry points of a lambda search on ``data``, as calls."""
+    return [lambda: mtl.lambda_max(data), lambda: mtl.solve(data, 1.0),
+            lambda: mtl.fit_for_budget(data, 1)]
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_task_rejects_non_finite_entries_only(dtype):
-    # the scan reads the column sums of squares first: a non-finite entry is
-    # rejected wherever it sits, and finite entries whose float32 sum
-    # overflows are accepted
+    # the search's screen scans the column sums of squares first: a
+    # non-finite entry is rejected wherever it sits, by every entry point,
+    # and finite entries whose float32 sum overflows are accepted
     X = np.ones((6, 5), dtype=dtype)
     for bad in (np.nan, np.inf, -np.inf):
+        tasks = []
         for at in ((0, 0), (5, 4), (3, 2)):
             Xb = X.copy()
             Xb[at] = bad
-            with pytest.raises(NonFiniteError):
-                TaskDataset("t", Xb, np.zeros(6))
-        with pytest.raises(NonFiniteError):
-            TaskDataset("t", X, [0.0, 0.0, bad, 0.0, 0.0, 0.0])
+            tasks.append(TaskDataset("t", Xb, np.zeros(6)))
+        tasks.append(TaskDataset("t", X, [0.0, 0.0, bad, 0.0, 0.0, 0.0]))
+        for task in tasks:
+            for search in searches([task]):
+                with pytest.raises(NonFiniteError, match="task t: non-finite entries"):
+                    search()
     big = TaskDataset("t", np.full((6, 5), 1e20, dtype=np.float32), np.zeros(6))
-    assert np.isinf(big._norms2).all()
+    assert np.isinf(mtl._Screen([big], mtl.MODE_MTL).c2).all()
+    assert mtl.lambda_max([big]) == 0.0
+
+
+@pytest.mark.parametrize("X, y", [
+    (np.ones(3), np.ones(3)),  # X not 2-D
+    (np.ones((3, 2)), np.ones((3, 1))),  # y not 1-D
+    (np.ones((3, 2)), np.ones(4)),  # rows and labels disagree
+    (np.ones((0, 2)), np.ones(0)),  # no rows
+])
+def test_task_rejects_bad_shapes_and_empty_tasks(X, y):
+    with pytest.raises(ShapeMismatchError, match="task t: "):
+        TaskDataset("t", X, y)
+
+
+class TestTypedFailures:
+    """lambda_max, solve and fit_for_budget check and measure their tasks
+    in the search's screen, and FISTA stops when float64 overflows; each
+    failure is a typed error."""
+
+    @staticmethod
+    def scaled(scale, seed):
+        return [TaskDataset(d.task_id, scale * d.X, scale * d.y) for d in random_instance(seed)]
+
+    def test_no_tasks_or_tasks_of_two_widths(self):
+        two_widths = random_instance(20, K=10)[:1] + random_instance(21, K=11)[1:]
+        for data in ([], two_widths):
+            for search in searches(data):
+                with pytest.raises(ShapeMismatchError):
+                    search()
+
+    @pytest.mark.parametrize("scale", [1e150, 1e160])
+    def test_a_score_that_overflows_has_no_lambda_max(self, scale):
+        # finite float64 tasks: at 1e150 the row norms of the gradient
+        # overflow, at 1e160 the gradient itself, so no lambda bounds them
+        data = self.scaled(scale, 22)
+        for search in searches(data):
+            with pytest.raises(NonFiniteError, match="KKT score is not finite"):
+                search()
+
+    def test_a_search_measures_each_task_once(self, monkeypatch):
+        # one column-norm pass per task in a whole search, the making of
+        # its tasks included
+        passes = []
+        einsum = np.einsum
+
+        def spy(subscripts, *operands, **kwargs):
+            if subscripts == "ij,ij->j":
+                passes.append(operands[0])
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        data = random_instance(24, K=200, N=30)
+        assert len(mtl.fit_for_budget(data, 10).selected) > 0
+        assert [id(X) for X in passes] == [id(d.X) for d in data]
+
+    def test_backtracking_step_underflow(self):
+        # at 1e150 the stl scores stay finite, and no step makes the
+        # quadratic bound hold in float64
+        data = self.scaled(1e150, 23)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="underflow"):
+            mtl.solve(data, 1.0, SolverOptions(mode=mtl.MODE_STL))
+
+    def test_objective_diverged(self):
+        data = [TaskDataset("t", np.full((2, 1), 1e200), np.zeros(2))]
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="diverged"):
+            mtl._fista(data, 1.0, SolverOptions(), np.ones((1, 1)))
 
 
 class TestCdOracle:

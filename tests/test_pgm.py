@@ -62,6 +62,13 @@ def test_non_numeric_dims(tmp_path):
         pgm.load_pgm(path)
 
 
+@pytest.mark.parametrize("dims", [b"0 2", b"2 0", b"0 0"])
+def test_zero_width_or_height(tmp_path, dims):
+    path = write(tmp_path, "a.pgm", b"P5\n" + dims + b"\n255\n\x00\x00")
+    with pytest.raises(MalformedHeaderError, match="bad dimensions"):
+        pgm.load_pgm(path)
+
+
 def test_maxval_over_255(tmp_path):
     path = write(tmp_path, "a.pgm", b"P5\n2 2\n65535\n" + b"\x00" * 8)
     with pytest.raises(UnsupportedMaxvalError):

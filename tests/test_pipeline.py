@@ -9,6 +9,8 @@ import pytest
 from glohage import dataset as ds
 from glohage import featfile, metrics, mtl, pipeline, ridge
 
+from pgmfile import write_pgm
+
 
 def synth_corpus(tmp_path, seed=5):
     spec = ds.SynthSpec(K=120, L=2, N=40, support_size=6, noise_sigma=0.5, seed=seed)
@@ -343,6 +345,37 @@ def test_only_extraction_imports_the_thread_pool():
             "sys.exit('concurrent.futures' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_no_subcommand_imports_numpy_ma(tmp_path):
+    # numpy.ma costs start-up time that no command needs; np.unique and
+    # np.union1d import it on their first call
+    for i in range(2):
+        write_pgm(np.full((68, 62), 90 * i, dtype=np.uint8), str(tmp_path / f"f{i}.pgm"))
+    (tmp_path / "faces.csv").write_text(
+        "path,person_id,age,gender\nf0.pgm,a,20,m\nf1.pgm,b,30,f\n", encoding="utf-8")
+    corpus = "--manifest c/manifest.csv --features c/features.gfv"
+    commands = [
+        "synth --out-dir c --k 200 --n 30 --tasks 3 --support 5",
+        "extract --manifest faces.csv --out faces.gfv",
+        f"select {corpus} --budget 10 --out sel.txt",
+        f"select {corpus} --budget 10 --mode stl --out stl.txt",
+        f"train {corpus} --budget 10 --out model.txt",
+        f"train {corpus} --selection sel.txt --out model2.txt",
+        "predict --model model.txt --features c/features.gfv --manifest c/manifest.csv"
+        " --out pred.csv",
+        f"evaluate {corpus} --budget 10 --out report.csv",
+        f"evaluate {corpus} --budget 10 --standardize --out report2.csv",
+    ]
+    code = ("import shlex, sys; from glohage import cli\n"
+            "for cmd in sys.argv[1:]:\n"
+            "    assert cli.main(shlex.split(cmd)) == 0, cmd\n"
+            "    assert 'numpy.ma' not in sys.modules, cmd\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code, *commands], env=env, cwd=tmp_path,
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
 
 
 def whole_matrix_lopo(manifest, features, config):
