@@ -132,10 +132,12 @@ def check_row_count(manifest, features):
         )
 
 
-def task_rows(rows, manifest):
+def partition_by_task(rows, manifest):
     """{MALE: rows, FEMALE: rows}: the given manifest rows of each task,
-    ascending. Unknown-gender rows are in both tasks; a task left without
-    rows raises EmptyTaskError."""
+    ascending, as indices; no feature is read. The one rule that splits
+    rows into tasks, for the selection and the ridge fits alike.
+    Unknown-gender rows are in both tasks; a task left without rows raises
+    EmptyTaskError."""
     rows, tasks = sorted(rows), {}
     for label in TASKS:
         tasks[label] = [r for r in rows if manifest.samples[r].gender in (label, UNKNOWN)]

@@ -4,11 +4,11 @@ Binary layout: 4-byte ASCII magic "GFV1", uint32-LE row count N, uint32-LE
 dimension K, then N*K float32-LE values, row-major. Row order matches the
 manifest order used at extraction time.
 
-``write_blocks`` is the one writer of a GFV1 file. It streams blocks of
-rows into a new temporary file beside the target, so the writer never
+``write_features`` is the one writer of a GFV1 file. It streams blocks
+of rows into a new temporary file beside the target, so the writer never
 holds more than one block, and renames it onto the target only after the
 last row: an error leaves no partial output and an existing target as it
-was. ``write_features`` writes one whole array through it.
+was. A whole array goes in as one block, ``[rows]``.
 
 ``FeatureFile`` is the one reader of a GFV1 body. It reads on demand: a
 gather of rows, or of (rows, bins), goes straight from the file, so a
@@ -35,12 +35,7 @@ HEADER_BYTES = 12
 BLOCK_BYTES = 1 << 19  # most bytes of whole rows a (rows, bins) gather holds
 
 
-def write_features(path, rows):
-    """Write an (N, K) float array as a GFV1 file (see write_blocks)."""
-    write_blocks(path, [rows])
-
-
-def write_blocks(path, blocks):
+def write_features(path, blocks):
     """Write the rows of ``blocks``, 2-D float arrays of one width K taken
     one at a time, as a GFV1 file at ``path``; returns (N, K).
 

@@ -402,6 +402,7 @@ def solve(data, lam, opts=SolverOptions(), w0=None, *, screen=None):
         ws = np.sort(np.concatenate([ws, grow]))  # grow lies outside ws
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _fista(data, lam, opts, w0):
     """Accelerated proximal gradient (FISTA) with backtracking from ``w0``.
 
@@ -417,6 +418,8 @@ def _fista(data, lam, opts, w0):
     Each iterate carries its products, so the extrapolated point's
     products cost O(N); the accepted iterate's are recomputed from W so
     they never drift. Iterates are float64; products run in X's dtype.
+    An overflow in here ends in the step-underflow or divergence check's
+    NonFiniteError, with numpy's overflow and invalid warnings off.
     """
     W = np.array(w0, dtype=np.float64)
     P = _products(W, data)

@@ -71,13 +71,13 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
     Relative image paths are resolved against ``base_dir`` (normally the
     manifest's directory). Rows are extracted on one thread per usable CPU,
     IMAGES_PER_TASK images to an ``extract_gloh`` call, and streamed to
-    ``featfile.write_blocks`` in manifest order, with at most about
-    EXTRACT_BYTES_PER_WORKER of rows per worker in flight, so the whole
-    matrix is never held. Each row is computed on its own, so the file has
-    the same bytes for any number of threads. The rows are awaited in
-    order, so a failure raises the first failing row's error, and then no
-    file is written. With one worker the rows are computed on the calling
-    thread, and no pool is made.
+    ``featfile.write_features``, the GFV1 writer, as blocks in manifest
+    order, with at most about EXTRACT_BYTES_PER_WORKER of rows per worker
+    in flight, so the whole matrix is never held. Each row is computed on
+    its own, so the file has the same bytes for any number of threads. The
+    rows are awaited in order, so a failure raises the first failing row's
+    error, and then no file is written. With one worker the rows are
+    computed on the calling thread, and no pool is made.
     """
     from .pgm import check_dims, load_pgm
 
@@ -95,7 +95,7 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
         return gloh_mod.extract_gloh(imgs, config.gloh).astype(np.float32)
 
     if workers == 1:
-        return featfile.write_blocks(path, map(rows, tasks))
+        return featfile.write_features(path, map(rows, tasks))
     from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
 
     todo = iter(tasks)
@@ -112,7 +112,7 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
 
     pool = ThreadPoolExecutor(workers)
     try:
-        return featfile.write_blocks(path, blocks(pool))
+        return featfile.write_features(path, blocks(pool))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -174,16 +174,17 @@ def select_bins(manifest, features, config=RunConfig(), rows=None):
     """Fit the sparse selection on the tasks of ``rows`` (default: all rows).
 
     ``features`` is an (N, K) array or a ``featfile.FeatureFile``; only
-    its ``.shape`` and row gathers are used. Each task takes its
-    ``dataset.task_rows`` of ``features`` once, as a new array. Its
-    labels are its ages less their mean: the selection problem has no
-    intercept, and the age offset would swamp the bin correlations.
+    its ``.shape`` and row gathers are used. ``dataset.partition_by_task``
+    splits ``rows`` into tasks, and each task takes its rows of
+    ``features`` once, as a new array. Its labels are its ages less their
+    mean: the selection problem has no intercept, and the age offset would
+    swamp the bin correlations.
     """
     ds.check_row_count(manifest, features)
     if rows is None:
         rows = range(len(manifest.samples))
     tasks = []
-    for label, idx in ds.task_rows(rows, manifest).items():
+    for label, idx in ds.partition_by_task(rows, manifest).items():
         ages = np.array([manifest.samples[r].age for r in idx], dtype=np.float64)
         tasks.append(mtl.TaskDataset(label, features[idx], ages - ages.mean()))
     return mtl.fit_for_budget(tasks, config.budget, config.solver)
@@ -206,7 +207,7 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
         selection = select_bins(manifest, features, config, rows)
     ages = [s.age for s in manifest.samples]
     model = ridge.fit_model(
-        features, ages, ds.task_rows(rows, manifest), selection.selected,
+        features, ages, ds.partition_by_task(rows, manifest), selection.selected,
         config.alpha_grid, seed=config.seed, regressors=regressors,
     )
     return selection, model
@@ -312,7 +313,7 @@ def synth_dataset(spec, out_dir):
     manifest = ds.Manifest(samples)
     ds.write_manifest(os.path.join(out_dir, "manifest.csv"), manifest)
     features = np.concatenate([d.X for d in data])
-    featfile.write_features(os.path.join(out_dir, "features.gfv"), features)
+    featfile.write_features(os.path.join(out_dir, "features.gfv"), [features])
 
     with open(os.path.join(out_dir, "truth.txt"), "w", encoding="utf-8") as fh:
         fh.write("GLOHSYNTH 1\n")

@@ -2,10 +2,11 @@
 
 The sparse selection solver underestimates coefficient magnitudes, so the
 final per-task age regressors are refit by ridge regression restricted to
-the selected bins. Fitting centers both features and labels, decomposes the
-centered Gram matrix once, and recovers an intercept; the cross-validation
-that picks the ridge weight scores its held-out splits from that same
-decomposition. Predictions are clamped to the training label range.
+the selected bins. A ``_Ridge`` centers a regressor's features and labels
+and decomposes their centered Gram matrix once; ``select_alpha`` (the
+cross-validation that picks the ridge weight) and ``fit_ridge`` (the final
+fit and its intercept) both read that decomposition. Predictions are
+clamped to the training label range.
 """
 
 from dataclasses import dataclass, field
@@ -42,10 +43,11 @@ class RidgeModel:
 
 
 class _Ridge:
-    """The centered ridge fits of one design X, labels y, all from one
-    eigendecomposition Xc^T Xc = V diag(e) V^T of the centered design
-    Xc = X - x_mean. X is taken in C order, so the bits of a fit do not
-    depend on its memory layout."""
+    """One design X and its labels y, centered, and the eigendecomposition
+    Xc^T Xc = V diag(e) V^T of the centered design Xc = X - x_mean, made
+    at most once: ``fit_ridge`` and ``select_alpha`` both read it. X is
+    taken in C order, so the bits of a fit do not depend on its memory
+    layout."""
 
     def __init__(self, X, y):
         X = np.ascontiguousarray(X, dtype=np.float64)
@@ -75,87 +77,80 @@ class _Ridge:
             )
         return V @ ((V.T @ (self.Xc.T @ (self.y - self.y_mean)))[:, None] / shifted)
 
-    def fit(self, alpha):
-        """(weights, intercept) at ridge weight ``alpha``."""
-        if alpha < 0:
-            raise ValueError(f"alpha must be nonnegative, got {alpha}")
-        W = self.path(np.array([alpha], dtype=np.float64))
-        return W[:, 0], self.y_mean - float(self.x_mean @ W[:, 0])
 
-    def select_alpha(self, grid, seed):
-        """``select_alpha(X, y, grid, seed)``, from this decomposition."""
-        grid = list(grid)
-        if not grid:
-            raise GridEmptyError("empty alpha grid")
-        if min(grid) < 0:
-            raise ValueError(f"alpha must be nonnegative, got {min(grid)}")
-        n = len(self.y)
-        if n < CV_FOLDS:
-            raise TooFewSamplesError(f"{n} samples cannot form {CV_FOLDS} folds")
-        if len(grid) == 1:
-            return grid[0]
-
-        order = np.random.default_rng(seed).permutation(n)
-        bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
-        folds = [order[bounds[i] : bounds[i + 1]] for i in range(CV_FOLDS)]
-        alphas = np.array(grid, dtype=np.float64)
-        e, V = self.eig
-        # a split's centered Gram matrix is below the whole design's, so
-        # only a weight of at most sqrt(eps) e_max can meet the singularity
-        # rule on a split; such weights take it on each split's own fit
-        low = alphas <= np.sqrt(np.finfo(np.float64).eps) * e.max(initial=0.0)
-        if low.any():
-            for fold in folds:
-                keep = np.ones(n, dtype=bool)
-                keep[fold] = False
-                _Ridge(self.X[keep], self.y[keep]).path(alphas[low])
-        # The whole fit's hat matrix is H = U diag(c) U^T, with U = [1/sqrt(n),
-        # Xc V] and c = 1 / [1, e + alpha]: the intercept is not penalized.
-        # The held-out residuals of split F are (I - H_FF)^{-1} r_F, from the
-        # whole fit's residuals r, solved in the held-out rows or, by the
-        # Woodbury identity, as r_F + U_F (diag(1/c) - U_F^T U_F)^{-1} U_F^T r_F
-        # in the bins, whichever system is smaller.
-        resid = (self.y - self.y_mean)[:, None] - self.Xc @ self.path(alphas)
-        inv_c = np.vstack([np.ones(len(grid)), e[:, None] + alphas]).T  # (alphas, 1 + bins)
-        U = np.column_stack([np.full(n, n ** -0.5), self.Xc @ V])
-        mae = np.zeros(len(grid))
-        for fold in folds:
-            Uf, r = U[fold], resid[fold].T[..., None]  # r: (alphas, rows, 1)
-            if len(fold) <= Uf.shape[1]:
-                hat = (Uf / inv_c[:, None, :]) @ Uf.T
-                held = np.linalg.solve(np.eye(len(fold)) - hat, r)
-            else:
-                inner = np.eye(Uf.shape[1]) * inv_c[:, None, :] - Uf.T @ Uf
-                held = r + Uf @ np.linalg.solve(inner, Uf.T @ r)
-            mae += np.mean(np.abs(held[..., 0]), axis=1)
-        return grid[max(range(len(grid)), key=lambda j: (-mae[j], grid[j]))]
-
-
-def fit_ridge(X, y, alpha):
-    """Centered ridge regression; returns (weights, intercept).
+def fit_ridge(fit, alpha):
+    """Centered ridge regression of the ``_Ridge`` ``fit`` at ridge weight
+    ``alpha``; returns (weights, intercept), from its decomposition.
 
     With alpha = 0 the design must have full column rank after centering,
-    otherwise SingularSystemError is raised. X is taken in C order, so the
-    result's bits do not depend on its memory layout.
+    otherwise SingularSystemError is raised.
     """
-    return _Ridge(X, y).fit(alpha)
+    if alpha < 0:
+        raise ValueError(f"alpha must be nonnegative, got {alpha}")
+    W = fit.path(np.array([alpha], dtype=np.float64))
+    return W[:, 0], fit.y_mean - float(fit.x_mean @ W[:, 0])
 
 
-def select_alpha(X, y, grid=DEFAULT_ALPHA_GRID, seed=0):
-    """Cross-validated MAE over an alpha grid; ties go to larger alpha.
+def select_alpha(fit, grid, seed=0):
+    """Cross-validated MAE of the ``_Ridge`` ``fit`` over an alpha grid;
+    ties go to larger alpha.
 
     The CV_FOLDS folds are contiguous blocks of a seeded shuffle, so the
     choice is deterministic for a given seed. A one-value grid is returned
-    without cross-validation. Every split is scored from one
+    without cross-validation. Every split is scored from the one
     eigendecomposition of the whole design, through the block-deletion
     identity for linear smoothers: a split's held-out residuals are
     (I - H_FF)^{-1} r_F, where H is the whole fit's hat matrix and r its
     residuals (Golub, Heath & Wahba, Technometrics 1979). The singularity
     rule still holds on each training split: a grid value that is
     numerically singular on one raises SingularSystemError, as fit_ridge
-    on that split would. X is taken in C order, as in fit_ridge.
+    on that split would.
     """
-    return _Ridge(X, y).select_alpha(grid, seed)
+    grid = list(grid)
+    if not grid:
+        raise GridEmptyError("empty alpha grid")
+    if min(grid) < 0:
+        raise ValueError(f"alpha must be nonnegative, got {min(grid)}")
+    n = len(fit.y)
+    if n < CV_FOLDS:
+        raise TooFewSamplesError(f"{n} samples cannot form {CV_FOLDS} folds")
+    if len(grid) == 1:
+        return grid[0]
+
+    order = np.random.default_rng(seed).permutation(n)
+    bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
+    folds = [order[bounds[i] : bounds[i + 1]] for i in range(CV_FOLDS)]
+    alphas = np.array(grid, dtype=np.float64)
+    e, V = fit.eig
+    # a split's centered Gram matrix is below the whole design's, so
+    # only a weight of at most sqrt(eps) e_max can meet the singularity
+    # rule on a split; such weights take it on each split's own fit
+    low = alphas <= np.sqrt(np.finfo(np.float64).eps) * e.max(initial=0.0)
+    if low.any():
+        for fold in folds:
+            keep = np.ones(n, dtype=bool)
+            keep[fold] = False
+            _Ridge(fit.X[keep], fit.y[keep]).path(alphas[low])
+    # The whole fit's hat matrix is H = U diag(c) U^T, with U = [1/sqrt(n),
+    # Xc V] and c = 1 / [1, e + alpha]: the intercept is not penalized.
+    # The held-out residuals of split F are (I - H_FF)^{-1} r_F, from the
+    # whole fit's residuals r, solved in the held-out rows or, by the
+    # Woodbury identity, as r_F + U_F (diag(1/c) - U_F^T U_F)^{-1} U_F^T r_F
+    # in the bins, whichever system is smaller.
+    resid = (fit.y - fit.y_mean)[:, None] - fit.Xc @ fit.path(alphas)
+    inv_c = np.vstack([np.ones(len(grid)), e[:, None] + alphas]).T  # (alphas, 1 + bins)
+    U = np.column_stack([np.full(n, n ** -0.5), fit.Xc @ V])
+    mae = np.zeros(len(grid))
+    for fold in folds:
+        Uf, r = U[fold], resid[fold].T[..., None]  # r: (alphas, rows, 1)
+        if len(fold) <= Uf.shape[1]:
+            hat = (Uf / inv_c[:, None, :]) @ Uf.T
+            held = np.linalg.solve(np.eye(len(fold)) - hat, r)
+        else:
+            inner = np.eye(Uf.shape[1]) * inv_c[:, None, :] - Uf.T @ Uf
+            held = r + Uf @ np.linalg.solve(inner, Uf.T @ r)
+        mae += np.mean(np.abs(held[..., 0]), axis=1)
+    return grid[max(range(len(grid)), key=lambda j: (-mae[j], grid[j]))]
 
 
 def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, seed=0,
@@ -163,20 +158,21 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
     """Fit per-task ridge regressors (plus a pooled fallback) on selected bins.
 
     ``features`` and ``ages`` hold one entry per manifest row, and ``rows``
-    maps task label -> manifest rows, as ``dataset.task_rows`` gives them.
-    The pooled model under the key "pooled" is fit on every task's rows,
-    each once where it first appears, and serves rows whose task label is
-    unknown at prediction time. ``regressors``, if given, names the ones
-    to fit (default: every task of ``rows`` and "pooled"); the clamp comes
-    from every row's age all the same. ``features`` is an (N, K) array or
-    a ``featfile.FeatureFile``, read once: one gather of the selected bins
-    of the fitted regressors' rows, in which a non-finite value raises
-    NonFiniteError, and every fit takes its rows from that block.
+    maps task label -> manifest rows, as ``dataset.partition_by_task``
+    gives them. The pooled model under the key "pooled" is fit on every
+    task's rows, each once where it first appears, and serves rows whose
+    task label is unknown at prediction time. ``regressors``, if given,
+    names the ones to fit (default: every task of ``rows`` and "pooled");
+    the clamp comes from every row's age all the same. ``features`` is an
+    (N, K) array or a ``featfile.FeatureFile``, read once: one gather of
+    the selected bins of the fitted regressors' rows, in which a non-finite
+    value raises NonFiniteError, and every fit takes its rows from that
+    block.
 
-    Each regressor decomposes its design once: the cross-validation of
-    ``select_alpha`` and the final fit of ``fit_ridge`` both come from that
-    decomposition, with the bits those two calls would give. A task with
-    fewer samples than CV_FOLDS takes the middle of the grid.
+    Each regressor makes one ``_Ridge`` of its rows, so its design is
+    decomposed once, and calls ``select_alpha`` and then ``fit_ridge`` on
+    it. A task with fewer samples than CV_FOLDS takes the middle of the
+    grid.
     """
     selected = np.asarray(selected, dtype=int)
     ages = np.asarray(ages, dtype=np.float64)
@@ -195,11 +191,11 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
     for task, idx in fits.items():
         fit = _Ridge(block[[at[r] for r in idx]], ages[idx])
         try:
-            alpha = fit.select_alpha(alpha_grid, seed)
+            alpha = select_alpha(fit, alpha_grid, seed)
         except TooFewSamplesError:
             grid = list(alpha_grid)
             alpha = grid[len(grid) // 2]  # too few samples to cross-validate
-        model.weights[task], model.intercepts[task] = fit.fit(alpha)
+        model.weights[task], model.intercepts[task] = fit_ridge(fit, alpha)
         model.alphas[task] = alpha
     model.clamp = (float(ages[pooled].min()), float(ages[pooled].max()))
     return model

@@ -113,7 +113,7 @@ def test_criterion_05_ridge_oracle():
         X = rng.standard_normal((30, 8))
         y = rng.standard_normal(30) * 10 + 30
         for alpha in (0.01, 1.0, 100.0):
-            w, b = ridge.fit_ridge(X, y, alpha)
+            w, b = ridge.fit_ridge(ridge._Ridge(X, y), alpha)
             Xc = X - X.mean(axis=0)
             w_ref = np.linalg.inv(Xc.T @ Xc + alpha * np.eye(8)) @ (
                 Xc.T @ (y - y.mean())

@@ -51,7 +51,7 @@ def make_feature_corpus(tmp_path, n_persons=4, images_per_person=3, k=30, seed=1
     man_path = tmp_path / "manifest.csv"
     man_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     feat_path = tmp_path / "features.gfv"
-    featfile.write_features(str(feat_path), np.array(rows))
+    featfile.write_features(str(feat_path), [np.array(rows)])
     return str(man_path), str(feat_path)
 
 
@@ -68,7 +68,7 @@ def make_gappy_corpus(tmp_path, n, k, seed):
         lines.append(f"synthetic:{i},p{i // 3},{age},{'' if i % 7 == 6 else 'mf'[i % 2]}")
     man, feat = tmp_path / "manifest.csv", tmp_path / "features.gfv"
     man.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    featfile.write_features(str(feat), features)
+    featfile.write_features(str(feat), [features])
     return str(man), str(feat)
 
 
@@ -190,14 +190,14 @@ class TestExtract:
         man = make_image_corpus(tmp_path)
         out, plain = tmp_path / "f.gfv", str(tmp_path / "plain.gfv")
         assert cli.main(["extract", "--manifest", man, "--out", str(out)]) == 0
-        featfile.write_features(plain, np.ones((1, 1)))
+        featfile.write_features(plain, [np.ones((1, 1))])
         assert os.stat(out).st_mode == os.stat(plain).st_mode
 
     def test_same_bytes_at_any_worker_count(self, tmp_path, capsys, monkeypatch):
         man = make_image_corpus(tmp_path, n=7)
         imgs = [pgm.load_pgm(str(tmp_path / f"face{i}.pgm")) for i in range(7)]
         want = tmp_path / "want.gfv"
-        featfile.write_features(str(want), np.stack([gloh.extract_gloh(im) for im in imgs]))
+        featfile.write_features(str(want), [np.stack([gloh.extract_gloh(im) for im in imgs])])
         for workers in (1, 2, 3):
             monkeypatch.setattr(pipeline, "_usable_cpus", lambda: workers)
             out = tmp_path / f"f{workers}.gfv"
@@ -295,7 +295,7 @@ class TestEvaluate:
     def test_row_count_mismatch(self, tmp_path, capsys):
         man, feat = make_feature_corpus(tmp_path)
         feats = featfile.read_features(feat)
-        featfile.write_features(feat, feats[:-1])
+        featfile.write_features(feat, [feats[:-1]])
         rc = cli.main(["evaluate", "--manifest", man, "--features", feat])
         assert rc == 1
         assert capsys.readouterr().err.startswith("ERROR RowCountMismatch:")
@@ -341,7 +341,7 @@ class TestEvaluate:
             lines.append(f"synthetic:{i},p{i // 10},{age},{'mf'[i // 10 % 2]}")
         man, feat = tmp_path / "manifest.csv", str(tmp_path / "features.gfv")
         man.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        featfile.write_features(feat, features)
+        featfile.write_features(feat, [features])
         del features
         body = 4 * n * k
         for extra in ([], ["--standardize"]):
@@ -718,7 +718,7 @@ class TestErrorContract:
 
     def test_train_selection_row_count(self, tmp_path, capsys):
         man, feat = make_feature_corpus(tmp_path)
-        featfile.write_features(feat, featfile.read_features(feat)[:-1])
+        featfile.write_features(feat, [featfile.read_features(feat)[:-1]])
         sel = tmp_path / "sel.txt"
         sel.write_text(
             "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n", encoding="utf-8"
@@ -733,7 +733,7 @@ class TestErrorContract:
         man, feat = make_feature_corpus(tmp_path)
         feats = featfile.read_features(feat)
         feats[0, 3] = np.nan
-        featfile.write_features(feat, feats)
+        featfile.write_features(feat, [feats])
         sel = tmp_path / "sel.txt"
         sel.write_text(
             "GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 2.0\n", encoding="utf-8"
@@ -748,7 +748,7 @@ class TestErrorContract:
         man, feat = make_feature_corpus(tmp_path)
         feats = featfile.read_features(feat)
         feats[0, 3] = np.nan
-        featfile.write_features(feat, feats)
+        featfile.write_features(feat, [feats])
         model = tmp_path / "model.txt"
         model.write_text(
             "GLOHRIDGE 1\ntask=pooled\nalpha=1.0\nintercept=30.0\n"

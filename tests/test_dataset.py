@@ -169,8 +169,8 @@ class TestSplitLopo:
 
 
 class TestPartitionByTask:
-    """``dataset.task_rows``, the one rule that splits rows into tasks for
-    the selection and the ridge fits alike."""
+    """``dataset.partition_by_task``, the one rule that splits rows into
+    tasks for the selection and the ridge fits alike."""
 
     def make(self, genders):
         return ds.Manifest(
@@ -180,17 +180,17 @@ class TestPartitionByTask:
     def test_all_male_raises(self):
         man = self.make([ds.MALE, ds.MALE])
         with pytest.raises(EmptyTaskError):
-            ds.task_rows([0, 1], man)
+            ds.partition_by_task([0, 1], man)
 
     def test_counts(self):
         man = self.make([ds.MALE, ds.MALE, ds.FEMALE, ds.FEMALE, ds.FEMALE])
-        tasks = ds.task_rows(range(5), man)
+        tasks = ds.partition_by_task(range(5), man)
         assert list(tasks) == [ds.MALE, ds.FEMALE]
         assert tasks == {ds.MALE: [0, 1], ds.FEMALE: [2, 3, 4]}
 
     def test_unknown_duplicated_into_both(self):
         man = self.make([ds.UNKNOWN, ds.MALE, ds.FEMALE])
-        assert ds.task_rows(range(3), man) == {ds.MALE: [0, 1], ds.FEMALE: [0, 2]}
+        assert ds.partition_by_task(range(3), man) == {ds.MALE: [0, 1], ds.FEMALE: [0, 2]}
 
     def test_row_count_mismatch(self):
         man = self.make([ds.MALE, ds.FEMALE])
@@ -200,7 +200,7 @@ class TestPartitionByTask:
 
     def test_manifest_order_preserved(self):
         man = self.make([ds.FEMALE, ds.MALE, ds.MALE, ds.UNKNOWN])
-        tasks = ds.task_rows([3, 2, 0, 1], man)
+        tasks = ds.partition_by_task([3, 2, 0, 1], man)
         assert tasks == {ds.MALE: [1, 2, 3], ds.FEMALE: [0, 3]}
 
 

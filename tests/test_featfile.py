@@ -15,7 +15,7 @@ from glohage.errors import (
 
 def write_rows(tmp_path, rows):
     path = str(tmp_path / "f.gfv")
-    featfile.write_features(path, rows)
+    featfile.write_features(path, [rows])
     return path
 
 
@@ -159,7 +159,7 @@ def test_reader_refuses_a_body_that_ends_mid_read(tmp_path, monkeypatch, read):
 
 def test_reader_refuses_a_file_rewritten_with_another_shape(tmp_path):
     f, full, path = reader_and_matrix(tmp_path)
-    featfile.write_features(path, full.reshape(30, 40))
+    featfile.write_features(path, [full.reshape(30, 40)])
     with pytest.raises(MalformedHeaderError):
         f[[0]]
 
@@ -179,9 +179,9 @@ def test_blocks_write_the_bytes_of_the_whole_array(tmp_path):
     whole = write_rows(tmp_path, rows)
     blocks = str(tmp_path / "blocks.gfv")
     parts = (rows[a:b] for a, b in [(0, 1), (1, 1), (1, 6), (6, 9)])
-    assert featfile.write_blocks(blocks, parts) == (9, 5)
+    assert featfile.write_features(blocks, parts) == (9, 5)
     assert Path(blocks).read_bytes() == Path(whole).read_bytes()
-    assert featfile.write_blocks(blocks, [np.zeros((0, 3))]) == (0, 3)
+    assert featfile.write_features(blocks, [np.zeros((0, 3))]) == (0, 3)
     assert featfile.read_features(blocks).shape == (0, 3)
 
 
@@ -199,11 +199,11 @@ def test_a_failed_write_leaves_the_target_as_it_was(tmp_path, blocks):
     path = write_rows(tmp_path, np.arange(6.0).reshape(2, 3))
     before = Path(path).read_bytes()
     with pytest.raises((OSError, ValueError)):
-        featfile.write_blocks(path, blocks())
+        featfile.write_features(path, blocks())
     assert Path(path).read_bytes() == before
     assert os.listdir(tmp_path) == ["f.gfv"]
     with pytest.raises((OSError, ValueError)):
-        featfile.write_blocks(str(tmp_path / "new.gfv"), blocks())
+        featfile.write_features(str(tmp_path / "new.gfv"), blocks())
     assert os.listdir(tmp_path) == ["f.gfv"]
 
 
@@ -222,7 +222,7 @@ def test_a_symlink_is_written_through(tmp_path):
     real = write_rows(tmp_path, np.ones((1, 2)))
     link = tmp_path / "link.gfv"
     link.symlink_to(real)
-    featfile.write_features(str(link), np.zeros((3, 2)))
+    featfile.write_features(str(link), [np.zeros((3, 2))])
     assert link.is_symlink()
     assert featfile.read_features(real).shape == (3, 2)
 
@@ -233,7 +233,7 @@ def test_a_directory_target_fails_before_any_block(tmp_path):
         yield
 
     with pytest.raises(IsADirectoryError):
-        featfile.write_blocks(str(tmp_path), blocks())
+        featfile.write_features(str(tmp_path), blocks())
     assert os.listdir(tmp_path) == []
 
 
@@ -250,7 +250,7 @@ def test_a_stale_hidden_file_is_passed_over_and_kept(tmp_path):
 def test_a_missing_directory_is_named_by_the_target(tmp_path):
     target = str(tmp_path / "absent" / "f.gfv")
     with pytest.raises(FileNotFoundError) as info:
-        featfile.write_blocks(target, [np.ones((1, 2))])
+        featfile.write_features(target, [np.ones((1, 2))])
     assert info.value.filename == os.path.realpath(target)
     assert ".part" not in str(info.value)
     assert os.listdir(tmp_path) == []

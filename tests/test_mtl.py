@@ -703,12 +703,12 @@ class TestTypedFailures:
         # at 1e150 the stl scores stay finite, and no step makes the
         # quadratic bound hold in float64
         data = self.scaled(1e150, 23)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="underflow"):
+        with pytest.raises(NonFiniteError, match="underflow"):
             mtl.solve(data, 1.0, SolverOptions(mode=mtl.MODE_STL))
 
     def test_objective_diverged(self):
         data = [TaskDataset("t", np.full((2, 1), 1e200), np.zeros(2))]
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteError, match="diverged"):
+        with pytest.raises(NonFiniteError, match="diverged"):
             mtl._fista(data, 1.0, SolverOptions(), np.ones((1, 1)))
 
 

@@ -52,7 +52,7 @@ def corpus(tmp_path_factory):
         "p2": d / "p2.pgm",
     }
     files["manifest"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    featfile.write_features(str(files["features"]), X)
+    featfile.write_features(str(files["features"]), [X])
     files["config"].write_text(
         "mode = mtl\nbudget = 5\nmax_iters = 300\nrel_tol = 1e-6\n"
         "alpha_grid = 0.1,1,10\nseed = 0\n",

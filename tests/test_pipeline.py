@@ -35,7 +35,7 @@ def test_one_selection_and_one_partition_per_fold(tmp_path, monkeypatch):
     # for the ridge fits, through the same rule
     manifest, features = synth_corpus(tmp_path)
     fits = recording(monkeypatch, mtl, "fit_for_budget")
-    parts = recording(monkeypatch, ds, "task_rows")
+    parts = recording(monkeypatch, ds, "partition_by_task")
     pipeline.evaluate_lopo(manifest, features, pipeline.RunConfig(budget=8))
     assert len(parts) == 2 * len(fits) == 2 * len(ds.split_lopo(manifest))
 
@@ -48,7 +48,7 @@ def test_no_held_out_row_reaches_a_fold_fit(
 ):
     manifest, _ = synth_corpus(tmp_path)
     features = featfile.FeatureFile(os.path.join(tmp_path, "features.gfv"))
-    parts = recording(monkeypatch, ds, "task_rows")
+    parts = recording(monkeypatch, ds, "partition_by_task")
     fits = recording(monkeypatch, mtl, "fit_for_budget")
     config = pipeline.RunConfig(budget=8, standardize=standardize, age_range=age_range)
     report = pipeline.evaluate_lopo(manifest, features, config)
@@ -114,7 +114,7 @@ def test_held_out_person_changes_only_the_other_folds(tmp_path, monkeypatch, sta
 def test_given_selection_skips_the_task_partition(tmp_path, monkeypatch):
     manifest, features = synth_corpus(tmp_path)
     selection = pipeline.select_bins(manifest, features, pipeline.RunConfig(budget=8))
-    parts = recording(monkeypatch, ds, "task_rows")
+    parts = recording(monkeypatch, ds, "partition_by_task")
     fits = recording(monkeypatch, mtl, "fit_for_budget")
     again, model = pipeline.train_model(manifest, features, selection=selection)
     assert again is selection
@@ -123,8 +123,9 @@ def test_given_selection_skips_the_task_partition(tmp_path, monkeypatch):
 
 
 def test_select_bins_copies_task_rows_with_centred_ages(monkeypatch):
-    # each task is one copy of its task_rows, in manifest order, with its
-    # ages less their mean; unknown-gender rows are in both tasks
+    # each task is one copy of its partition_by_task rows, in manifest
+    # order, with its ages less their mean; unknown-gender rows are in both
+    # tasks
     rng = np.random.default_rng(30)
     genders = [ds.UNKNOWN, ds.FEMALE, ds.MALE, ds.MALE, ds.FEMALE, ds.UNKNOWN] * 4
     ages = rng.integers(5, 70, len(genders))
@@ -139,7 +140,7 @@ def test_select_bins_copies_task_rows_with_centred_ages(monkeypatch):
 
     (tasks, budget, _), = fits
     assert budget == 3
-    expected = ds.task_rows(rows, manifest)
+    expected = ds.partition_by_task(rows, manifest)
     assert [t.task_id for t in tasks] == list(expected)
     for t, idx in zip(tasks, expected.values()):
         assert t.X.dtype == np.float32 and np.array_equal(t.X, features[idx])
@@ -172,7 +173,7 @@ def test_scaled_gather_has_the_bits_of_the_scaled_block(tmp_path):
     features[:, 4] = 7.0
     before = features.copy()
     path = str(tmp_path / "f.gfv")
-    featfile.write_features(path, features)
+    featfile.write_features(path, [features])
     train, rows, bins = np.arange(0, 30, 2), [5, 1, 22, 5], [19, 4, 0, 7]
     for source in (features, featfile.FeatureFile(path)):
         view = pipeline._Scaled(source, train)
@@ -227,7 +228,7 @@ def test_predict_rows_has_the_bits_of_ridge_predict(tmp_path):
         model.weights[task] = rng.standard_normal(23)
         model.intercepts[task] = float(rng.standard_normal())
     path = str(tmp_path / "f.gfv")
-    featfile.write_features(path, features)
+    featfile.write_features(path, [features])
     own = {ds.MALE: ds.MALE, ds.FEMALE: ds.FEMALE, ds.UNKNOWN: ridge.POOLED}
     for source in (features, featfile.FeatureFile(path)):
         preds = pipeline.predict_rows(model, source, manifest)
@@ -297,7 +298,7 @@ def interleaved_corpus(tmp_path, n=70, k=60, seed=35):
     manifest = ds.Manifest([ds.Sample(f"synthetic:{i}", f"p{i // 3}", int(a), g)
                             for i, (g, a) in enumerate(zip(genders, ages))])
     path = str(tmp_path / "features.gfv")
-    featfile.write_features(path, features)
+    featfile.write_features(path, [features])
     return manifest, path
 
 
@@ -488,7 +489,7 @@ def test_each_fold_reads_its_rows_once(tmp_path, monkeypatch, standardize):
     pipeline.evaluate_lopo(manifest, featfile.FeatureFile(path), config)
     want = 0
     for fold in ds.split_lopo(manifest):
-        tasks = ds.task_rows(fold.train_rows, manifest)
+        tasks = ds.partition_by_task(fold.train_rows, manifest)
         want += sum(map(len, tasks.values())) + len(fold.test_rows)
         want += len(fold.train_rows) if standardize else 0
     assert sum(reads) == want

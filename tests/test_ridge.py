@@ -34,7 +34,7 @@ class TestFitRidge:
         # re-orthonormalize after centering
         X, _ = np.linalg.qr(X)
         y = rng.standard_normal(12)
-        w, _ = ridge.fit_ridge(X, y, 0.0)
+        w, _ = ridge.fit_ridge(ridge._Ridge(X, y), 0.0)
         Xc = X - X.mean(axis=0)
         assert np.allclose(w, Xc.T @ (y - y.mean()), atol=1e-10)
 
@@ -42,7 +42,7 @@ class TestFitRidge:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((20, 5))
         y = rng.standard_normal(20) + 30
-        w, b = ridge.fit_ridge(X, y, 1e12)
+        w, b = ridge.fit_ridge(ridge._Ridge(X, y), 1e12)
         assert np.abs(w).max() < 1e-9
         assert b == pytest.approx(y.mean(), abs=1e-6)
 
@@ -50,7 +50,7 @@ class TestFitRidge:
         rng = np.random.default_rng(2)
         X = rng.standard_normal((20, 5))
         y = rng.standard_normal(20)
-        w, b = ridge.fit_ridge(X, y, 0.1)
+        w, b = ridge.fit_ridge(ridge._Ridge(X, y), 0.1)
         w_ref, b_ref = dense_oracle(X, y, 0.1)
         assert np.abs(w - w_ref).max() < 1e-8
         assert b == pytest.approx(b_ref, abs=1e-8)
@@ -61,7 +61,7 @@ class TestFitRidge:
             X = rng.standard_normal((25, 6))
             y = rng.standard_normal(25)
             alpha = float(rng.uniform(0.01, 10))
-            w, _ = ridge.fit_ridge(X, y, alpha)
+            w, _ = ridge.fit_ridge(ridge._Ridge(X, y), alpha)
             Xc = X - X.mean(axis=0)
             rhs = Xc.T @ (y - y.mean())
             resid = (Xc.T @ Xc + alpha * np.eye(6)) @ w - rhs
@@ -77,22 +77,23 @@ class TestFitRidge:
         ]
         for X, y in designs:
             with pytest.raises(SingularSystemError):
-                ridge.fit_ridge(X, y, 0.0)
+                ridge.fit_ridge(ridge._Ridge(X, y), 0.0)
 
     def test_negative_alpha(self):
         with pytest.raises(ValueError, match="alpha must be nonnegative"):
-            ridge.fit_ridge(np.eye(3), np.ones(3), -1.0)
+            ridge.fit_ridge(ridge._Ridge(np.eye(3), np.ones(3)), -1.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            ridge.fit_ridge(np.zeros((5, 2)), np.zeros(4), 1.0)
+            ridge.fit_ridge(ridge._Ridge(np.zeros((5, 2)), np.zeros(4)), 1.0)
 
     def test_monotone_shrinkage(self):
         rng = np.random.default_rng(4)
         X = rng.standard_normal((30, 8))
         y = rng.standard_normal(30)
         alphas = [0.01, 0.1, 1.0, 10.0, 100.0]
-        norms = [np.linalg.norm(ridge.fit_ridge(X, y, a)[0]) for a in alphas]
+        fit = ridge._Ridge(X, y)
+        norms = [np.linalg.norm(ridge.fit_ridge(fit, a)[0]) for a in alphas]
         for n1, n2 in zip(norms, norms[1:]):
             assert n1 >= n2 - 1e-10
 
@@ -102,8 +103,8 @@ class TestFitRidge:
         for _ in range(5):
             X = rng.standard_normal((1002, 50))
             y = rng.standard_normal(1002)
-            wc, bc = ridge.fit_ridge(np.ascontiguousarray(X), y, 1.0)
-            wf, bf = ridge.fit_ridge(np.asfortranarray(X), y, 1.0)
+            wc, bc = ridge.fit_ridge(ridge._Ridge(np.ascontiguousarray(X), y), 1.0)
+            wf, bf = ridge.fit_ridge(ridge._Ridge(np.asfortranarray(X), y), 1.0)
             assert wc.tobytes() == wf.tobytes()
             assert bc == bf
 
@@ -111,8 +112,8 @@ class TestFitRidge:
         rng = np.random.default_rng(5)
         X = rng.standard_normal((15, 4))
         y = rng.standard_normal(15)
-        w0, b0 = ridge.fit_ridge(X, y, 0.5)
-        w1, b1 = ridge.fit_ridge(X, y + 11.0, 0.5)
+        w0, b0 = ridge.fit_ridge(ridge._Ridge(X, y), 0.5)
+        w1, b1 = ridge.fit_ridge(ridge._Ridge(X, y + 11.0), 0.5)
         assert np.allclose(w0, w1, atol=1e-9)
         assert b1 - b0 == pytest.approx(11.0, abs=1e-9)
 
@@ -122,30 +123,31 @@ class TestSelectAlpha:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((40, 5))
         y = X @ rng.standard_normal(5)
-        assert ridge.select_alpha(X, y, [1e-6, 1e3], seed=0) == 1e-6
+        assert ridge.select_alpha(ridge._Ridge(X, y), [1e-6, 1e3], seed=0) == 1e-6
 
     def test_single_element_grid(self):
         rng = np.random.default_rng(7)
         X = rng.standard_normal((10, 2))
-        assert ridge.select_alpha(X, rng.standard_normal(10), [3.3]) == 3.3
+        assert ridge.select_alpha(ridge._Ridge(X, rng.standard_normal(10)), [3.3]) == 3.3
 
     def test_pure_noise_prefers_large_alpha(self):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((40, 10))
         y = rng.standard_normal(40)
-        assert ridge.select_alpha(X, y, [1e-6, 1e6], seed=0) == 1e6
+        assert ridge.select_alpha(ridge._Ridge(X, y), [1e-6, 1e6], seed=0) == 1e6
 
     def test_empty_grid(self):
         with pytest.raises(GridEmptyError):
-            ridge.select_alpha(np.zeros((10, 1)), np.zeros(10), [])
+            ridge.select_alpha(ridge._Ridge(np.zeros((10, 1)), np.zeros(10)), [])
 
     def test_negative_alpha(self):
         with pytest.raises(ValueError, match="alpha must be nonnegative"):
-            ridge.select_alpha(np.zeros((10, 1)), np.zeros(10), [1.0, -0.5])
+            ridge.select_alpha(ridge._Ridge(np.zeros((10, 1)), np.zeros(10)),
+                               [1.0, -0.5])
 
     def test_too_few_samples(self):
         with pytest.raises(TooFewSamplesError):
-            ridge.select_alpha(np.zeros((3, 1)), np.zeros(3), [1.0])
+            ridge.select_alpha(ridge._Ridge(np.zeros((3, 1)), np.zeros(3)), [1.0])
 
     @pytest.mark.parametrize(
         "n, p, seed",
@@ -157,13 +159,14 @@ class TestSelectAlpha:
         for trial in range(5):
             X = rng.standard_normal((n, p)) * rng.uniform(0.1, 10)
             y = X @ rng.standard_normal(p) + rng.uniform(0.5, 5) * rng.standard_normal(n)
-            assert ridge.select_alpha(X, y, grid, seed=trial) == (
+            assert ridge.select_alpha(ridge._Ridge(X, y), grid, seed=trial) == (
                 oracles.select_alpha_oracle(X, y, grid, k=5, seed=trial)
             )
 
     def test_empty_selection_ties_go_to_larger_alpha(self):
         y = np.random.default_rng(25).standard_normal(20)
-        assert ridge.select_alpha(np.zeros((20, 0)), y, [0.1, 10.0, 1.0]) == 10.0
+        fit = ridge._Ridge(np.zeros((20, 0)), y)
+        assert ridge.select_alpha(fit, [0.1, 10.0, 1.0]) == 10.0
 
     def test_zero_alpha_on_rank_deficient_split(self):
         rng = np.random.default_rng(26)
@@ -171,8 +174,8 @@ class TestSelectAlpha:
         X = np.column_stack([X, X[:, 0] + X[:, 1]])  # rank 3 of 4
         y = rng.standard_normal(20)
         with pytest.raises(SingularSystemError):
-            ridge.select_alpha(X, y, [0.0, 1.0])
-        assert ridge.select_alpha(X, y, [0.1, 1.0]) in (0.1, 1.0)
+            ridge.select_alpha(ridge._Ridge(X, y), [0.0, 1.0])
+        assert ridge.select_alpha(ridge._Ridge(X, y), [0.1, 1.0]) in (0.1, 1.0)
 
 
     def test_zero_alpha_on_rank_deficient_splits_of_a_full_rank_design(self):
@@ -182,9 +185,9 @@ class TestSelectAlpha:
         X = rng.standard_normal((30, 26))
         y = rng.standard_normal(30)
         assert np.linalg.matrix_rank(X - X.mean(axis=0)) == 26
-        ridge.fit_ridge(X, y, 0.0)
+        ridge.fit_ridge(ridge._Ridge(X, y), 0.0)
         with pytest.raises(SingularSystemError):
-            ridge.select_alpha(X, y, [0.0, 1.0])
+            ridge.select_alpha(ridge._Ridge(X, y), [0.0, 1.0])
 
 def make_model(selected, weights, intercept, clamp=(0.0, 69.0), task="male"):
     m = ridge.RidgeModel(selected=np.asarray(selected, dtype=int))
@@ -256,7 +259,7 @@ class TestPredict:
         X = rng.standard_normal((30, 4))
         w_true = rng.standard_normal(4)
         y = X @ w_true + 20
-        w, b = ridge.fit_ridge(X, y, 1e-9)
+        w, b = ridge.fit_ridge(ridge._Ridge(X, y), 1e-9)
         m = make_model([0, 1, 2, 3], w, b, clamp=(y.min(), y.max()))
         assert predict(m, X[7], "male") == pytest.approx(y[7], abs=1e-3)
 
@@ -302,8 +305,8 @@ class TestFitModel:
         pooled = rows["male"] + [r for r in rows["female"] if r not in rows["male"]]
         for task, idx in {**rows, ridge.POOLED: pooled}.items():
             Xs = X[np.ix_(idx, selected)].astype(np.float64)
-            alpha = ridge.select_alpha(Xs, ages[idx], grid, seed)
-            w, b = ridge.fit_ridge(Xs, ages[idx], alpha)
+            alpha = ridge.select_alpha(ridge._Ridge(Xs, ages[idx]), grid, seed)
+            w, b = ridge.fit_ridge(ridge._Ridge(Xs, ages[idx]), alpha)
             assert model.alphas[task] == alpha
             assert model.weights[task].tobytes() == w.tobytes()
             assert model.intercepts[task] == b
@@ -348,7 +351,7 @@ def test_fit_model_reads_a_feature_file_once(tmp_path, monkeypatch):
     unknown = set(range(4, 40, 5))
     rows = {t: sorted({*range(i, 40, 2), *unknown}) for i, t in enumerate(("male", "female"))}
     path = str(tmp_path / "f.gfv")
-    featfile.write_features(path, X)
+    featfile.write_features(path, [X])
     reads, read = [], featfile.FeatureFile.__getitem__
     monkeypatch.setattr(featfile.FeatureFile, "__getitem__",
                         lambda f, key: reads.append(key) or read(f, key))
