@@ -82,10 +82,6 @@ class GridEmptyError(GlohError):
     code = "GridEmpty"
 
 
-class TooFewSamplesError(GlohError):
-    code = "TooFewSamples"
-
-
 # --- manifests and folds ---
 
 class MalformedRowError(GlohError):

@@ -122,7 +122,7 @@ class _Rows:
     through a cache: its ``.shape``, ``v[rows]`` and ``v[np.ix_(rows,
     bins)]``. The view keeps each row block it returns, and a (rows, bins)
     gather is cut from those blocks instead of read again, so it may name
-    only rows that they hold."""
+    only rows that they hold: another row raises IndexError."""
 
     def __init__(self, source):
         self.source, self.shape = source, source.shape
@@ -140,6 +140,8 @@ class _Rows:
             return block
         rows, bins = np.asarray(key[0])[:, 0], np.asarray(key[1])[0]
         kept = self._block_of[rows]
+        if (kept < 0).any():
+            raise IndexError(f"row {rows[kept.argmin()]} is in no block read")
         out = np.empty((len(rows), len(bins)), dtype=self._blocks[0].dtype)
         for b, block in enumerate(self._blocks):
             at = kept == b
@@ -170,21 +172,21 @@ class _Scaled:
         return block
 
 
-def select_bins(manifest, features, config=RunConfig(), rows=None):
-    """Fit the sparse selection on the tasks of ``rows`` (default: all rows).
+def select_bins(manifest, features, config=RunConfig(), split=None):
+    """Fit the sparse selection on the tasks of ``split``, rows by task as
+    ``dataset.partition_by_task`` gives them (default: every row's split).
 
     ``features`` is an (N, K) array or a ``featfile.FeatureFile``; only
-    its ``.shape`` and row gathers are used. ``dataset.partition_by_task``
-    splits ``rows`` into tasks, and each task takes its rows of
+    its ``.shape`` and row gathers are used. Each task takes its rows of
     ``features`` once, as a new array. Its labels are its ages less their
     mean: the selection problem has no intercept, and the age offset would
     swamp the bin correlations.
     """
     ds.check_row_count(manifest, features)
-    if rows is None:
-        rows = range(len(manifest.samples))
+    if split is None:
+        split = ds.partition_by_task(range(len(manifest.samples)), manifest)
     tasks = []
-    for label, idx in ds.partition_by_task(rows, manifest).items():
+    for label, idx in split.items():
         ages = np.array([manifest.samples[r].age for r in idx], dtype=np.float64)
         tasks.append(mtl.TaskDataset(label, features[idx], ages - ages.mean()))
     return mtl.fit_for_budget(tasks, config.budget, config.solver)
@@ -196,19 +198,23 @@ def train_model(manifest, features, config=RunConfig(), selection=None, rows=Non
     regressors, each fit on its task's rows of the selected bins: those
     named in ``regressors``, or all of them, as in ``ridge.fit_model``.
 
-    ``features`` is an (N, K) array or a ``featfile.FeatureFile``, as in
-    ``select_bins``. A selection run here reads the task rows through a
-    ``_Rows`` cache, and the ridge fits cut their bins from those rows."""
+    ``rows`` (default: all rows) are split into tasks once, by
+    ``dataset.partition_by_task``, and the selection and the ridge fits
+    both take that split. ``features`` is an (N, K) array or a
+    ``featfile.FeatureFile``, as in ``select_bins``. A selection run here
+    reads the task rows through a ``_Rows`` cache, and the ridge fits cut
+    their bins from those rows."""
     ds.check_row_count(manifest, features)
     if rows is None:
         rows = range(len(manifest.samples))
+    split = ds.partition_by_task(rows, manifest)
     if selection is None:
         features = _Rows(features)
-        selection = select_bins(manifest, features, config, rows)
+        selection = select_bins(manifest, features, config, split)
     ages = [s.age for s in manifest.samples]
     model = ridge.fit_model(
-        features, ages, ds.partition_by_task(rows, manifest), selection.selected,
-        config.alpha_grid, seed=config.seed, regressors=regressors,
+        features, ages, split, selection.selected, config.alpha_grid,
+        seed=config.seed, regressors=regressors,
     )
     return selection, model
 

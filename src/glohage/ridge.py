@@ -21,7 +21,6 @@ from .errors import (
     NonFiniteError,
     ShapeMismatchError,
     SingularSystemError,
-    TooFewSamplesError,
     UnknownTaskError,
 )
 
@@ -96,8 +95,9 @@ def select_alpha(fit, grid, seed=0):
     ties go to larger alpha.
 
     The CV_FOLDS folds are contiguous blocks of a seeded shuffle, so the
-    choice is deterministic for a given seed. A one-value grid is returned
-    without cross-validation. Every split is scored from the one
+    choice is deterministic for a given seed. A one-value grid, or a fit
+    with fewer than CV_FOLDS rows, takes the middle of the grid without
+    cross-validation. Every split is scored from the one
     eigendecomposition of the whole design, through the block-deletion
     identity for linear smoothers: a split's held-out residuals are
     (I - H_FF)^{-1} r_F, where H is the whole fit's hat matrix and r its
@@ -112,10 +112,8 @@ def select_alpha(fit, grid, seed=0):
     if min(grid) < 0:
         raise ValueError(f"alpha must be nonnegative, got {min(grid)}")
     n = len(fit.y)
-    if n < CV_FOLDS:
-        raise TooFewSamplesError(f"{n} samples cannot form {CV_FOLDS} folds")
-    if len(grid) == 1:
-        return grid[0]
+    if len(grid) == 1 or n < CV_FOLDS:
+        return grid[len(grid) // 2]
 
     order = np.random.default_rng(seed).permutation(n)
     bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
@@ -170,9 +168,9 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
     block.
 
     Each regressor makes one ``_Ridge`` of its rows, so its design is
-    decomposed once, and calls ``select_alpha`` and then ``fit_ridge`` on
-    it. A task with fewer samples than CV_FOLDS takes the middle of the
-    grid.
+    decomposed once, and calls ``select_alpha``, which picks its ridge
+    weight (the middle of the grid for fewer rows than CV_FOLDS), and then
+    ``fit_ridge`` on it.
     """
     selected = np.asarray(selected, dtype=int)
     ages = np.asarray(ages, dtype=np.float64)
@@ -190,11 +188,7 @@ def fit_model(features, ages, rows, selected, alpha_grid=DEFAULT_ALPHA_GRID, see
         raise NonFiniteError(f"feature row {bad}: non-finite value in a selected bin")
     for task, idx in fits.items():
         fit = _Ridge(block[[at[r] for r in idx]], ages[idx])
-        try:
-            alpha = select_alpha(fit, alpha_grid, seed)
-        except TooFewSamplesError:
-            grid = list(alpha_grid)
-            alpha = grid[len(grid) // 2]  # too few samples to cross-validate
+        alpha = select_alpha(fit, alpha_grid, seed)
         model.weights[task], model.intercepts[task] = fit_ridge(fit, alpha)
         model.alphas[task] = alpha
     model.clamp = (float(ages[pooled].min()), float(ages[pooled].max()))

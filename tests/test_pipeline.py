@@ -31,13 +31,13 @@ def recording(monkeypatch, module, name):
 
 
 def test_one_selection_and_one_partition_per_fold(tmp_path, monkeypatch):
-    # each fold splits its rows into tasks once for the selection and once
-    # for the ridge fits, through the same rule
+    # each fold splits its rows into tasks once, and the selection and the
+    # ridge fits both take that split
     manifest, features = synth_corpus(tmp_path)
     fits = recording(monkeypatch, mtl, "fit_for_budget")
     parts = recording(monkeypatch, ds, "partition_by_task")
     pipeline.evaluate_lopo(manifest, features, pipeline.RunConfig(budget=8))
-    assert len(parts) == 2 * len(fits) == 2 * len(ds.split_lopo(manifest))
+    assert len(parts) == len(fits) == len(ds.split_lopo(manifest))
 
 
 @pytest.mark.parametrize(
@@ -58,15 +58,13 @@ def test_no_held_out_row_reaches_a_fold_fit(
     assert (len(kept) < len(manifest.samples)) == (age_range is not None)
     folds = ds.split_lopo(manifest, kept)
     assert report.n == len(kept)
-    # the selection's task rows, then the ridge fits', for every fold
-    assert [list(p[0]) for p in parts] == [
-        list(f.train_rows) for f in folds for _ in range(2)
-    ]
+    # the one split of every fold, for its selection and its ridge fits
+    assert [list(p[0]) for p in parts] == [list(f.train_rows) for f in folds]
     for fold, (tasks, *_) in zip(folds, fits):
         # every synthetic row has a known gender, so it is in exactly one task
         assert sum(t.X.shape[0] for t in tasks) == len(fold.train_rows)
-    for i, (rows, *_) in enumerate(parts):
-        held_out = folds[i // 2].held_out_person
+    for fold, (rows, *_) in zip(folds, parts):
+        held_out = fold.held_out_person
         assert all(manifest.samples[r].person_id != held_out for r in rows)
         assert all(lo <= manifest.samples[r].age <= hi for r in rows)
 
@@ -136,16 +134,30 @@ def test_select_bins_copies_task_rows_with_centred_ages(monkeypatch):
     features = rng.standard_normal((len(genders), 12)).astype(np.float32)
     fits = recording(monkeypatch, mtl, "fit_for_budget")
     rows = rng.permutation(len(genders))[:18]
-    pipeline.select_bins(manifest, features, pipeline.RunConfig(budget=3), rows)
+    expected = ds.partition_by_task(rows, manifest)
+    pipeline.select_bins(manifest, features, pipeline.RunConfig(budget=3), expected)
 
     (tasks, budget, _), = fits
     assert budget == 3
-    expected = ds.partition_by_task(rows, manifest)
     assert [t.task_id for t in tasks] == list(expected)
     for t, idx in zip(tasks, expected.values()):
         assert t.X.dtype == np.float32 and np.array_equal(t.X, features[idx])
         assert not np.shares_memory(t.X, features)
         assert np.array_equal(t.y, ages[idx] - ages[idx].mean())
+
+
+def test_rows_view_refuses_a_row_it_does_not_hold():
+    # a (rows, bins) gather is cut from the row blocks read before it, so
+    # a row that none of them holds raises, before and after the first one
+    features = np.arange(40, dtype=np.float32).reshape(8, 5)
+    v = pipeline._Rows(features)
+    with pytest.raises(IndexError, match="row 4 is in no block read"):
+        v[np.ix_([4], [0])]
+    assert np.array_equal(v[[0, 1, 2]], features[:3])
+    pick = np.ix_([2, 0], [0, 3])
+    assert np.array_equal(v[pick], features[pick])
+    with pytest.raises(IndexError, match="row 6 is in no block read"):
+        v[np.ix_([1, 6, 7], [0, 3])]
 
 
 def test_standardized_constant_bin_keeps_its_scale():

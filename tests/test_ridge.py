@@ -11,7 +11,6 @@ from glohage.errors import (
     NonFiniteError,
     ShapeMismatchError,
     SingularSystemError,
-    TooFewSamplesError,
     UnknownTaskError,
 )
 
@@ -146,8 +145,13 @@ class TestSelectAlpha:
                                [1.0, -0.5])
 
     def test_too_few_samples(self):
-        with pytest.raises(TooFewSamplesError):
-            ridge.select_alpha(ridge._Ridge(np.zeros((3, 1)), np.zeros(3)), [1.0])
+        # fewer rows than CV_FOLDS take the middle of the grid, once the
+        # grid has passed its checks
+        fit = ridge._Ridge(np.zeros((3, 1)), np.zeros(3))
+        assert ridge.select_alpha(fit, [0.1, 1.0, 10.0]) == 1.0
+        assert ridge.select_alpha(fit, [5.0]) == 5.0
+        with pytest.raises(ValueError, match="alpha must be nonnegative"):
+            ridge.select_alpha(fit, [0.1, 1.0, -0.5])
 
     @pytest.mark.parametrize(
         "n, p, seed",
