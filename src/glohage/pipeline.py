@@ -149,9 +149,18 @@ class _Rows:
         return out
 
 
+STATS_BLOCK = 4096  # bins whose standardization statistics _Scaled takes at a time
+
+
 class _Scaled:
     """``source`` standardized by the mean and std of its ``train_rows``,
     which are read whole, once, for them; a constant bin keeps std 1.
+    The statistics are taken STATS_BLOCK bins at a time, so their only
+    temporaries are (rows, STATS_BLOCK) blocks. numpy sums each bin of a
+    block of two or more bins over the rows in row order, as it does for
+    the whole matrix, so they have the bits of ``train.mean(axis=0)`` and
+    ``train.std(axis=0)``; a last block of one bin, which numpy would sum
+    pairwise, joins the block before it.
     A gather, ``v[rows]`` or ``v[np.ix_(rows, bins)]``, reads a new block
     and scales it in place, with the bits of ``(block - mean[bins]) /
     std[bins]`` elementwise in the source's dtype, so an element has the
@@ -160,9 +169,17 @@ class _Scaled:
     def __init__(self, source, train_rows):
         train = source[train_rows]
         self.source, self.shape = source, source.shape
-        self.mean, self.std = train.mean(axis=0), train.std(axis=0)
-        # a constant bin's float32 std can be rounding noise instead of 0: both get 1
-        self.std[(self.std == 0) | (train.max(axis=0) == train.min(axis=0))] = 1.0
+        k = source.shape[1]
+        cuts = list(range(STATS_BLOCK, k - 1, STATS_BLOCK))  # none leaves one bin last
+        means, stds = [], []
+        for a, b in zip([0, *cuts], [*cuts, k]):
+            block = train[:, a:b]
+            mean, std = block.mean(axis=0), block.std(axis=0)
+            # a constant bin's float32 std can be rounding noise instead of 0: both get 1
+            std[(std == 0) | (block.max(axis=0) == block.min(axis=0))] = 1.0
+            means.append(mean)
+            stds.append(std)
+        self.mean, self.std = np.concatenate(means), np.concatenate(stds)
 
     def __getitem__(self, key):
         bins = np.asarray(key[1])[0] if isinstance(key, tuple) else slice(None)

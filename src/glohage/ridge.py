@@ -7,8 +7,14 @@ and decomposes their centered Gram matrix once; ``select_alpha`` (the
 cross-validation that picks the ridge weight) and ``fit_ridge`` (the final
 fit and its intercept) both read that decomposition. Predictions are
 clamped to the training label range.
+
+The cross-validation's seeded row order is ``_cv_order``, the package's
+own port of numpy's ``default_rng(seed).permutation(n)``, so no fit loads
+``numpy.random``, and numpy's freedom to change a ``Generator`` method's
+stream cannot change a fit.
 """
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -28,6 +34,79 @@ POOLED = "pooled"
 
 DEFAULT_ALPHA_GRID = tuple(10.0 ** e for e in range(-3, 4))
 CV_FOLDS = 5  # folds of the ridge weight's cross-validation
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix: each call xors a 32-bit word with a running
+    constant, steps the constant and multiplies the word by it."""
+    def hashmix(value):
+        nonlocal const
+        const, value = const * mult & _M32, value ^ const
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _cv_order(seed, n):
+    """``np.random.default_rng(seed).permutation(n)``, bit for bit, from
+    plain Python ints; a negative seed raises ValueError, as numpy does.
+
+    numpy's SeedSequence hashes the seed's 32-bit words, least significant
+    first, into a pool of four words and draws PCG64's 128-bit state and
+    increment from it. PCG64 (O'Neill 2014) steps its state by a 128-bit
+    LCG and outputs the XSL-RR of the new state; a 32-bit draw is the low
+    half of an output, whose high half is kept for the next one. The
+    permutation is a backward Fisher-Yates shuffle of range(n): position
+    i swaps with a draw j <= i, taken by masking 32-bit draws to i's bit
+    width and rejecting those above i (n < 2**32).
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("expected non-negative integer")
+    words = [seed >> b & _M32 for b in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+
+    def mix(dst, value):
+        x = (_MIX_L * pool[dst] - _MIX_R * hashmix(value)) & _M32
+        pool[dst] = x ^ x >> 16
+
+    for src in range(4):  # each pool word into each other one
+        for dst in range(4):
+            if src != dst:
+                mix(dst, pool[src])
+    for word in words[4:]:  # then the words the pool could not hold
+        for dst in range(4):
+            mix(dst, word)
+    u32 = list(map(_hasher(_INIT_B, _MULT_B), pool * 2))  # generate_state(4, uint64)
+    # two uint64 words each, little-endian uint32 pairs, the first word high
+    state, seq = (u32[a + 1] << 96 | u32[a] << 64 | u32[a + 3] << 32 | u32[a + 2]
+                  for a in (0, 4))
+    inc = (seq << 1 | 1) & _M128
+    s = ((inc + state) * _PCG_MULT + inc) & _M128  # seeded: two steps from 0
+
+    order, high = list(range(n)), None
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if high is None:
+                s = (s * _PCG_MULT + inc) & _M128
+                x, rot = ((s >> 64) ^ s) & _M64, s >> 122
+                x = (x >> rot | x << (64 - rot)) & _M64
+                draw, high = x & _M32, x >> 32
+            else:
+                draw, high = high, None
+            j = draw & mask
+            if j <= i:
+                break
+        order[i], order[j] = order[j], order[i]
+    return np.array(order, dtype=np.int64)
 
 
 @dataclass
@@ -94,10 +173,11 @@ def select_alpha(fit, grid, seed=0):
     """Cross-validated MAE of the ``_Ridge`` ``fit`` over an alpha grid;
     ties go to larger alpha.
 
-    The CV_FOLDS folds are contiguous blocks of a seeded shuffle, so the
-    choice is deterministic for a given seed. A one-value grid, or a fit
-    with fewer than CV_FOLDS rows, takes the middle of the grid without
-    cross-validation. Every split is scored from the one
+    The CV_FOLDS folds are contiguous blocks of the seeded row order
+    ``_cv_order(seed, n)``, numpy's ``default_rng(seed).permutation(n)``
+    computed in the package, so the choice is deterministic for a given
+    seed. A one-value grid, or a fit with fewer than CV_FOLDS rows, takes
+    the middle of the grid without cross-validation. Every split is scored from the one
     eigendecomposition of the whole design, through the block-deletion
     identity for linear smoothers: a split's held-out residuals are
     (I - H_FF)^{-1} r_F, where H is the whole fit's hat matrix and r its
@@ -115,7 +195,7 @@ def select_alpha(fit, grid, seed=0):
     if len(grid) == 1 or n < CV_FOLDS:
         return grid[len(grid) // 2]
 
-    order = np.random.default_rng(seed).permutation(n)
+    order = _cv_order(seed, n)
     bounds = np.linspace(0, n, CV_FOLDS + 1).astype(int)
     folds = [order[bounds[i] : bounds[i + 1]] for i in range(CV_FOLDS)]
     alphas = np.array(grid, dtype=np.float64)

@@ -177,6 +177,24 @@ def test_standardized_constant_bin_keeps_its_scale():
         assert np.array_equal(out[:, k], (features[:, k] - mean[k]) / std[k])
 
 
+@pytest.mark.parametrize("width", [pipeline.STATS_BLOCK + 37, 2 * pipeline.STATS_BLOCK + 1])
+def test_scaled_statistics_have_the_whole_matrix_bits(width):
+    # taken STATS_BLOCK bins at a time, on a width that is not a multiple
+    # of the block: the last block holds 37 bins, or one bin (which numpy
+    # would sum pairwise, in another order, on its own)
+    rng = np.random.default_rng(41)
+    features = (100 + 3 * rng.standard_normal((60, width))).astype(np.float32)
+    features[:, [2, width - 1]] = 0.1
+    train = np.arange(1, 60, 2)
+    view = pipeline._Scaled(features, train)
+    whole = features[train]
+    mean, std = whole.mean(axis=0), whole.std(axis=0)
+    std[(std == 0) | (whole.max(axis=0) == whole.min(axis=0))] = 1.0
+    assert view.mean.dtype == view.std.dtype == np.float32
+    assert view.mean.tobytes() == mean.tobytes()
+    assert view.std.tobytes() == std.tobytes()
+
+
 def test_scaled_gather_has_the_bits_of_the_scaled_block(tmp_path):
     # a gather is scaled in place, with the bits of (block - mean) / std,
     # from an array or the file; the array it reads is left as it was
@@ -362,14 +380,15 @@ def test_only_extraction_imports_the_thread_pool():
 
 def test_no_subcommand_imports_numpy_ma(tmp_path):
     # numpy.ma costs start-up time that no command needs; np.unique and
-    # np.union1d import it on their first call
+    # np.union1d import it on their first call. numpy.random is loaded
+    # only by synth, whose job is to draw data, so synth runs in a process
+    # of its own first: the ridge CV order is the package's own port
     for i in range(2):
         write_pgm(np.full((68, 62), 90 * i, dtype=np.uint8), str(tmp_path / f"f{i}.pgm"))
     (tmp_path / "faces.csv").write_text(
         "path,person_id,age,gender\nf0.pgm,a,20,m\nf1.pgm,b,30,f\n", encoding="utf-8")
     corpus = "--manifest c/manifest.csv --features c/features.gfv"
     commands = [
-        "synth --out-dir c --k 200 --n 30 --tasks 3 --support 5",
         "extract --manifest faces.csv --out faces.gfv",
         f"select {corpus} --budget 10 --out sel.txt",
         f"select {corpus} --budget 10 --mode stl --out stl.txt",
@@ -378,17 +397,21 @@ def test_no_subcommand_imports_numpy_ma(tmp_path):
         "predict --model model.txt --features c/features.gfv --manifest c/manifest.csv"
         " --out pred.csv",
         f"evaluate {corpus} --budget 10 --out report.csv",
-        f"evaluate {corpus} --budget 10 --standardize --out report2.csv",
+        f"evaluate {corpus} --budget 10 --standardize --seed 3 --out report2.csv",
     ]
     code = ("import shlex, sys; from glohage import cli\n"
-            "for cmd in sys.argv[1:]:\n"
+            "unused = sys.argv[1].split(',')\n"
+            "for cmd in sys.argv[2:]:\n"
             "    assert cli.main(shlex.split(cmd)) == 0, cmd\n"
-            "    assert 'numpy.ma' not in sys.modules, cmd\n")
+            "    for name in unused:\n"
+            "        assert name not in sys.modules, (name, cmd)\n")
     src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code, *commands], env=env, cwd=tmp_path,
-                          capture_output=True)
-    assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
+    for unused, run in (("numpy.ma", ["synth --out-dir c --k 200 --n 30 --tasks 3 --support 5"]),
+                        ("numpy.ma,numpy.random", commands)):
+        done = subprocess.run([sys.executable, "-c", code, unused, *run], env=env,
+                              cwd=tmp_path, capture_output=True)
+        assert done.returncode == 0, done.stderr.decode("utf-8", "replace")
 
 
 def whole_matrix_lopo(manifest, features, config):

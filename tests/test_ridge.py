@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import numpy as np
@@ -192,6 +193,39 @@ class TestSelectAlpha:
         ridge.fit_ridge(ridge._Ridge(X, y), 0.0)
         with pytest.raises(SingularSystemError):
             ridge.select_alpha(ridge._Ridge(X, y), [0.0, 1.0])
+
+class TestCvOrder:
+    # the cross-validation's row order is the package's port of numpy's
+    # default_rng(seed).permutation(n); numpy stays the reference here only
+
+    @pytest.mark.parametrize("seed, n, order", [
+        (0, 10, [4, 6, 2, 7, 3, 5, 9, 0, 8, 1]),
+        (1, 7, [5, 0, 1, 4, 2, 6, 3]),
+        (3, 16, [11, 15, 9, 1, 12, 2, 14, 10, 0, 4, 7, 6, 13, 5, 3, 8]),
+        (2 ** 32, 9, [1, 3, 6, 7, 8, 0, 4, 2, 5]),  # a two-word seed
+        (2 ** 64 + 5, 12, [0, 2, 10, 6, 5, 9, 11, 4, 8, 3, 7, 1]),
+        (2 ** 160 + 3, 9, [3, 5, 6, 1, 4, 0, 8, 7, 2]),  # more words than the pool
+        (12345, 1, [0]),
+        (0, 0, []),
+    ])
+    def test_golden_permutations(self, seed, n, order):
+        got = ridge._cv_order(seed, n)
+        assert got.dtype == np.int64 and got.tolist() == order
+
+    def test_matches_numpy_on_a_seed_grid(self):
+        # seeds 0-39, and one random seed of each of 31, 44, ..., 200 bits
+        wide = [random.Random(b).getrandbits(b) | 1 << (b - 1) for b in range(31, 201, 13)]
+        seeds = [*range(40), *wide]
+        sizes = [0, 1, 2, 3, 5, 8, 9, 31, 32, 33, 190, 257, 1002, 4097]
+        for seed in seeds:
+            for n in sizes:
+                want = np.random.default_rng(seed).permutation(n)
+                assert np.array_equal(ridge._cv_order(seed, n), want), (seed, n)
+
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ridge._cv_order(-1, 5)
+
 
 def make_model(selected, weights, intercept, clamp=(0.0, 69.0), task="male"):
     m = ridge.RidgeModel(selected=np.asarray(selected, dtype=int))
