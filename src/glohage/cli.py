@@ -12,7 +12,7 @@ import os
 import sys
 from . import dataset as ds
 from . import featfile, gloh, metrics, mtl, pipeline, ridge
-from .errors import GlohError, InvalidSpecError
+from .errors import GlohError, InvalidSpecError, read_lines
 
 
 def _floats(text):
@@ -83,13 +83,8 @@ def _parse_config_file(path, command):
 
     Every key must be in SETTINGS, read by ``command``, and given once.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = list(fh)
-    except UnicodeDecodeError:
-        raise InvalidSpecError(f"{path}: not UTF-8 text") from None
     values = {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(path, InvalidSpecError), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,7 +1,8 @@
 """Typed errors for the whole pipeline.
 
 Every error carries a short machine-readable ``code`` used by the CLI to
-print single-line ``ERROR <code>: <detail>`` diagnostics.
+print single-line ``ERROR <code>: <detail>`` diagnostics. ``read_lines``
+reads the line-based text inputs and reports a byte that is not UTF-8.
 """
 
 
@@ -116,3 +117,13 @@ class EmptyError(GlohError):
 
 class RowCountMismatchError(GlohError):
     code = "RowCountMismatch"
+
+
+def read_lines(path, error):
+    """The lines of the UTF-8 text file at ``path``, without their line
+    ends; a byte that is not UTF-8 raises ``error``, a GlohError class."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [line.rstrip("\n") for line in fh]
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None

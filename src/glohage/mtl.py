@@ -59,6 +59,7 @@ from .errors import (
     NegativeLambdaError,
     NonFiniteError,
     ShapeMismatchError,
+    read_lines,
 )
 
 MODE_MTL = "mtl"
@@ -240,9 +241,10 @@ class _Screen:
     lies within [lo, hi] = s_k ± ||t_k||: a row norm moves by at most
     ||t_k||, and max_l |G[k, l]| by at most max_l t_kl <= ||t_k||. Both
     ends are widened by a relative slack for the float64 rounding of the
-    bound and the score. Rows whose hi reaches lambda are scored by
-    ``_exact_scores``, unless n rows have a lo above lambda: then only rows
-    whose hi reaches the n-th highest lo can be among the n highest scores.
+    bound and the score. The candidates are the rows whose hi reaches
+    lambda (a lo above lambda puts hi above it too); when n of them have a
+    lo above lambda, only those whose hi reaches the n-th highest lo can be
+    among the n highest scores. Those left are scored by ``_exact_scores``.
     Once the columns scored against the reference would gather more bytes
     than one full-width product reads, the product is taken at P instead
     and becomes the reference. A non-finite reference score bounds nothing
@@ -296,8 +298,8 @@ class _Screen:
 
     def _candidates(self, P, ws, lam, n, room):
         """Rows outside ``ws`` that may score above ``lam`` at P and may be
-        among the n highest scores, or None when P is off the reference
-        and there are more than ``room`` of them."""
+        among the n highest scores, ascending, or None when P is off the
+        reference and there are more than ``room`` of them."""
         a = np.empty(len(self.data))  # t_kl = c_kl a_l
         moved = False
         for l, (p, p_ref, rho, (g, g64)) in enumerate(zip(P, self.P, self.rho, self.gammas)):
@@ -305,18 +307,18 @@ class _Screen:
             delta = math.sqrt(float(diff @ diff))
             moved = moved or delta > 0
             a[l] = (2.0 / len(p)) * (delta + g * rho + g64 * (rho + delta))
-        with np.errstate(invalid="ignore", over="ignore"):  # NaN marks "no bound"
-            t = np.sqrt(self.c2 @ (a * a))
-            lo, hi = self.score - t, self.score + t
-        lo[ws] = hi[ws] = -np.inf
         # a score lies in [lo (1 - s), hi (1 + s)]; thresholds carry the slack
         low, high = 1.0 - 2.0 * self.slack, 1.0 + 2.0 * self.slack
+        with np.errstate(invalid="ignore", over="ignore"):  # NaN marks "no bound"
+            t = np.sqrt(self.c2 @ (a * a))
+            hi = self.score + t
+            hi[ws] = -np.inf
+            rows = np.flatnonzero(~(hi <= lam * low))
+            lo = self.score[rows] - t[rows]  # lo > lam high only where hi > lam low
         sure = lo[lo > lam * high]
         if len(sure) >= n:  # rows below the n-th highest lo cannot outrank these n
             tau = np.partition(sure, len(sure) - n)[len(sure) - n]
-            rows = np.flatnonzero(~(hi < tau * low))
-        else:
-            rows = np.flatnonzero(~(hi <= lam * low))
+            rows = rows[~(hi[rows] < tau * low)]  # tau > lam high, so tau low > lam low
         return None if moved and len(rows) > room else rows
 
     def violators(self, P, ws, lam, n):
@@ -522,11 +524,7 @@ def read_selection(path, n_bins, n_tasks):
     ascending and inside [0, n_bins), each with exactly n_tasks finite
     weights; anything else raises a GlohError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except UnicodeDecodeError:
-        raise MalformedRowError(f"{path}: not UTF-8 text") from None
+    lines = read_lines(path, MalformedRowError)
     if (
         len(lines) < 3
         or lines[0] != "GLOHSEL 1"

@@ -76,8 +76,7 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
     in flight, so the whole matrix is never held. Each row is computed on
     its own, so the file has the same bytes for any number of threads. The
     rows are awaited in order, so a failure raises the first failing row's
-    error, and then no file is written. With one worker the rows are
-    computed on the calling thread, and no pool is made.
+    error, and then no file is written.
     """
     from .pgm import check_dims, load_pgm
 
@@ -94,9 +93,7 @@ def extract_features(manifest, path, config=RunConfig(), base_dir="."):
         )
         return gloh_mod.extract_gloh(imgs, config.gloh).astype(np.float32)
 
-    if workers == 1:
-        return featfile.write_features(path, map(rows, tasks))
-    from concurrent.futures import ThreadPoolExecutor  # only a pool needs it
+    from concurrent.futures import ThreadPoolExecutor  # no other command needs it
 
     todo = iter(tasks)
 

@@ -28,6 +28,7 @@ from .errors import (
     ShapeMismatchError,
     SingularSystemError,
     UnknownTaskError,
+    read_lines,
 )
 
 POOLED = "pooled"
@@ -319,13 +320,8 @@ def read_model(path):
     task) and one ``bin weight`` line per selected bin, strictly ascending
     and the same bins for every task; anything else raises a GlohError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [
-                (n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()
-            ]
-    except UnicodeDecodeError:
-        raise MalformedRowError(f"{path}: not UTF-8 text") from None
+    lines = enumerate(read_lines(path, MalformedRowError), start=1)
+    lines = [(n, ln) for n, ln in lines if ln.strip()]
     if not lines or lines[0][1] != "GLOHRIDGE 1":
         raise ShapeMismatchError(f"not a GLOHRIDGE file: {path}")
     model = RidgeModel(selected=np.array([], dtype=int))

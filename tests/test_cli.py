@@ -779,14 +779,37 @@ class TestErrorContract:
             capsys, "MalformedRow",
         )
 
+    @staticmethod
+    def run_not_utf8(argv, bad, code, tmp_path, capsys):
+        # the one line names the file, and the run writes nothing
+        before = sorted(os.listdir(tmp_path))
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"ERROR {code}: {bad}: not UTF-8 text\n"
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_config_not_utf8(self, tmp_path, capsys):
         man = make_image_corpus(tmp_path, n=1)
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(b"budget = \xff\n")
-        self.run_failing(
+        self.run_not_utf8(
             ["extract", "--manifest", man, "--out", str(tmp_path / "f.gfv"),
              "--config", str(cfg)],
-            capsys, "InvalidSpec",
+            cfg, "InvalidSpec", tmp_path, capsys,
+        )
+
+    @pytest.mark.parametrize("flag, body", [
+        ("--selection", b"GLOHSEL 1\nlambda=0.5\nepsilon=1e-08\n3 1.0 \xff\n"),
+        ("--model", b"GLOHRIDGE 1\ntask=pooled\nalpha=\xff\n"),
+    ])
+    def test_selection_or_model_not_utf8(self, tmp_path, capsys, flag, body):
+        man, feat = make_feature_corpus(tmp_path)
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(body)
+        command = "train" if flag == "--selection" else "predict"
+        self.run_not_utf8(
+            [command, "--manifest", man, "--features", feat, flag, str(bad),
+             "--out", str(tmp_path / "out.txt")],
+            bad, "MalformedRow", tmp_path, capsys,
         )
 
     def test_model_is_a_directory(self, tmp_path, capsys):

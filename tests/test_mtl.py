@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +558,54 @@ class TestScreen:
         screen = mtl._Screen(data, mode)
         screen.refresh([np.zeros(200)])
         assert k in screen._candidates(P, np.zeros(0, dtype=np.intp), 0.0, 1, np.inf)
+
+    @staticmethod
+    def two_bound_candidates(screen, P, ws, lam, n):
+        """The sweep with a lower and an upper bound for every row, written
+        out as the reference for ``_candidates`` at unlimited room; also
+        returns how many lower bounds clear lam."""
+        a = np.empty(len(P))
+        for l, (p, p_ref, rho, (g, g64)) in enumerate(
+                zip(P, screen.P, screen.rho, screen.gammas)):
+            diff = p - p_ref
+            delta = math.sqrt(float(diff @ diff))
+            a[l] = (2.0 / len(p)) * (delta + g * rho + g64 * (rho + delta))
+        with np.errstate(invalid="ignore", over="ignore"):
+            t = np.sqrt(screen.c2 @ (a * a))
+            lo, hi = screen.score - t, screen.score + t
+        lo[ws] = hi[ws] = -np.inf
+        low, high = 1.0 - 2.0 * screen.slack, 1.0 + 2.0 * screen.slack
+        sure = lo[lo > lam * high]
+        if len(sure) >= n:
+            tau = np.partition(sure, len(sure) - n)[len(sure) - n]
+            return np.flatnonzero(~(hi < tau * low)), len(sure)
+        return np.flatnonzero(~(hi <= lam * low)), len(sure)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_candidate_set_gives_the_two_bound_rows(self, seed):
+        # seeded reference scores with NaNs (no bound), column norms with
+        # infinities, working-set rows, lam = 0 and n on both sides of the
+        # number of rows whose lower bound clears lam
+        rng = np.random.default_rng(seed)
+        K = 400
+        data = self.instance(100 + seed, np.float64, K=K)
+        screen = mtl._Screen(data, mtl.MODE_MTL)
+        screen.refresh([np.zeros(d.n) for d in data])
+        screen.score = rng.uniform(0.0, 1.0, K)
+        screen.score[rng.choice(K, 20, replace=False)] = np.nan
+        screen.c2 = rng.uniform(0.0, 800.0, (K, 2))  # bounds of up to about 0.1
+        screen.c2[rng.choice(K, 10, replace=False), rng.integers(2, size=10)] = np.inf
+        ws = np.sort(rng.choice(K, 15, replace=False))
+        P = [p + 0.01 * rng.standard_normal(len(p)) for p in screen.P]
+        sides = set()
+        for lam in (0.0, *np.nanquantile(screen.score, (0.5, 0.9, 0.99))):
+            m = self.two_bound_candidates(screen, P, ws, lam, K)[1]
+            for n in sorted({1, max(m, 1), m + 1, K}):
+                want = self.two_bound_candidates(screen, P, ws, lam, n)[0]
+                got = screen._candidates(P, ws, lam, n, np.inf)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (lam, n)
+                sides.add(n <= m)
+        assert sides == {True, False}
 
     @pytest.mark.parametrize("mode", [mtl.MODE_MTL, mtl.MODE_STL])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
