@@ -269,9 +269,6 @@ def main(argv=None):
     except GlohError as exc:
         print(f"ERROR {exc.code}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"ERROR MissingFile: {exc}", file=sys.stderr)
-        return 1
     except OSError as exc:
         print(f"ERROR FileAccess: {exc}", file=sys.stderr)
         return 1

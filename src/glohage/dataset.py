@@ -18,9 +18,9 @@ from .errors import (
     EmptyTaskError,
     InvalidSpecError,
     MalformedRowError,
-    MissingFileError,
     RowCountMismatchError,
     SinglePersonError,
+    open_input,
 )
 from .mtl import TaskDataset
 
@@ -58,12 +58,11 @@ class Fold:
 
 
 def parse_manifest(path):
+    """The manifest at ``path``: MissingFileError if absent, a GlohError if bad."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open_input(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             rows = list(reader)
-    except FileNotFoundError:
-        raise MissingFileError(f"no such file: {path}")
     except UnicodeDecodeError:
         raise MalformedRowError(f"{path}: not UTF-8 text") from None
     except csv.Error as exc:  # e.g. a field beyond csv's field size limit

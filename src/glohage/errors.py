@@ -1,8 +1,8 @@
 """Typed errors for the whole pipeline.
 
 Every error carries a short machine-readable ``code`` used by the CLI to
-print single-line ``ERROR <code>: <detail>`` diagnostics. ``read_lines``
-reads the line-based text inputs and reports a byte that is not UTF-8.
+print single-line ``ERROR <code>: <detail>`` diagnostics. Every input file
+is opened by ``open_input``, which alone raises MissingFileError.
 """
 
 
@@ -119,11 +119,20 @@ class RowCountMismatchError(GlohError):
     code = "RowCountMismatch"
 
 
-def read_lines(path, error):
-    """The lines of the UTF-8 text file at ``path``, without their line
-    ends; a byte that is not UTF-8 raises ``error``, a GlohError class."""
+def open_input(path, *args, **kwargs):
+    """``open(path, *args, **kwargs)`` for a file the run reads: a path that
+    does not exist raises MissingFileError, any other OSError passes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        return open(path, *args, **kwargs)
+    except FileNotFoundError:
+        raise MissingFileError(f"no such file: {path}") from None
+
+
+def read_lines(path, error):
+    """The lines of the UTF-8 text file at ``path``, without their line ends,
+    read through open_input; a byte that is not UTF-8 raises ``error``."""
+    try:
+        with open_input(path, "r", encoding="utf-8") as fh:
             return [line.rstrip("\n") for line in fh]
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None

@@ -25,9 +25,9 @@ import numpy as np
 
 from .errors import (
     MalformedHeaderError,
-    MissingFileError,
     TrailingDataError,
     TruncatedPixelDataError,
+    open_input,
 )
 
 MAGIC = b"GFV1"
@@ -88,11 +88,8 @@ def _create_beside(target):
 
 def _open(path):
     """Open a GFV1 file whose size matches its header; returns (file, N, K),
-    the file positioned at the body."""
-    try:
-        fh = open(path, "rb")
-    except FileNotFoundError:
-        raise MissingFileError(f"no such file: {path}")
+    the file positioned at the body. A missing file is MissingFileError."""
+    fh = open_input(path, "rb")
     try:
         header = fh.read(HEADER_BYTES)
         if len(header) < HEADER_BYTES or header[:4] != MAGIC:

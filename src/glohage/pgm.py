@@ -10,9 +10,9 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     MalformedHeaderError,
-    MissingFileError,
     TruncatedPixelDataError,
     UnsupportedMaxvalError,
+    open_input,
 )
 
 
@@ -45,15 +45,12 @@ def _tokenize_header(data, n_tokens):
 def load_pgm(path):
     """Read a P5 (binary) or P2 (ASCII) PGM file into a uint8 array.
 
-    Raises MissingFileError, MalformedHeaderError, TruncatedPixelDataError
-    or UnsupportedMaxvalError, and any other OSError of the open or read,
-    such as IsADirectoryError; never returns a partially filled image.
+    Raises MissingFileError if ``path`` does not exist, MalformedHeaderError,
+    TruncatedPixelDataError or UnsupportedMaxvalError, and any other OSError
+    of the open or read, such as IsADirectoryError; never a partial image.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise MissingFileError(f"no such file: {path}") from None
+    with open_input(path, "rb") as fh:
+        data = fh.read()
 
     tokens, offset = _tokenize_header(data, 4)
     magic = tokens[0]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from glohage import cli, featfile, gloh, pgm, pipeline, ridge
+from glohage import cli, errors, featfile, gloh, mtl, pgm, pipeline, ridge
 from glohage import dataset as ds
 
 from pgmfile import write_pgm
@@ -80,19 +80,6 @@ class TestExtract:
         assert capsys.readouterr().out.strip() == "N=3 K=48960"
         feats = featfile.read_features(out)
         assert feats.shape == (3, 48960)
-
-    def test_missing_image(self, tmp_path, capsys):
-        man = tmp_path / "m.csv"
-        man.write_text(
-            "path,person_id,age,gender\nghost.pgm,p1,5,m\n", encoding="utf-8"
-        )
-        rc = cli.main(
-            ["extract", "--manifest", str(man), "--out", str(tmp_path / "f.gfv")]
-        )
-        assert rc == 1
-        err = capsys.readouterr().err
-        assert err.startswith("ERROR MissingFile:")
-        assert "ghost.pgm" in err
 
     def test_empty_manifest(self, tmp_path, capsys):
         man = tmp_path / "m.csv"
@@ -596,15 +583,86 @@ class TestErrorContract:
         self.run_failing(argv, capsys, "InvalidSpec")
         assert not os.listdir(tmp_path)
 
-    def test_train_selection_missing_file(self, tmp_path, capsys):
+    @pytest.fixture
+    def inputs(self, tmp_path, capsys):
+        """The input flags of each subcommand that reads files, every input
+        valid: the features with a fit config, a GLOHSEL and a GLOHRIDGE fit
+        on them, and a one-image corpus under images/ with an empty config."""
         man, feat = make_feature_corpus(tmp_path)
-        out = tmp_path / "model.txt"
-        self.run_failing(
-            ["train", "--manifest", man, "--features", feat, "--out", str(out),
-             "--selection", str(tmp_path / "absent.txt")],
-            capsys, "MissingFile",
-        )
-        assert not out.exists()
+        fit_cfg, extract_cfg = tmp_path / "fit.cfg", tmp_path / "extract.cfg"
+        fit_cfg.write_text("budget = 5\n", encoding="utf-8")
+        extract_cfg.write_text("", encoding="utf-8")
+        fit = {"--manifest": man, "--features": feat, "--config": str(fit_cfg)}
+        sel, model = str(tmp_path / "sel.txt"), str(tmp_path / "model.txt")
+        for command, out in (("select", sel), ("train", model)):
+            assert cli.main(self.argv(command, out, fit)) == 0
+        capsys.readouterr()
+        (tmp_path / "images").mkdir()
+        images = make_image_corpus(tmp_path / "images", n=1)
+        return {
+            "extract": {"--manifest": images, "--config": str(extract_cfg)},
+            "select": fit,
+            "train": {**fit, "--selection": sel},
+            "predict": {"--model": model, "--features": feat, "--manifest": man},
+            "evaluate": fit,
+        }
+
+    @staticmethod
+    def argv(command, out, files):
+        return [command, "--out", out, *(a for item in files.items() for a in item)]
+
+    @staticmethod
+    def tree(path):
+        return sorted((d, sorted(f)) for d, _, f in os.walk(path))
+
+    @pytest.mark.parametrize("command, flag", [
+        ("extract", "--manifest"), ("extract", "image"), ("extract", "--config"),
+        ("select", "--manifest"), ("select", "--features"), ("select", "--config"),
+        ("train", "--manifest"), ("train", "--features"), ("train", "--selection"),
+        ("train", "--config"),
+        ("predict", "--model"), ("predict", "--features"), ("predict", "--manifest"),
+        ("evaluate", "--manifest"), ("evaluate", "--features"), ("evaluate", "--config"),
+    ])
+    def test_missing_input(self, tmp_path, capsys, inputs, command, flag):
+        # every named input that does not exist is the same one line, and
+        # the run writes nothing
+        files = dict(inputs[command])
+        missing = str(tmp_path / "absent")
+        if flag == "image":  # the manifest lists an image that is not there
+            man = tmp_path / "images" / "ghost.csv"
+            man.write_text("path,person_id,age,gender\nghost.pgm,p0,30,m\n",
+                           encoding="utf-8")
+            files["--manifest"] = str(man)
+            missing = str(tmp_path / "images" / "ghost.pgm")
+        else:
+            files[flag] = missing
+        before = self.tree(tmp_path)
+        assert cli.main(self.argv(command, str(tmp_path / "out.txt"), files)) == 1
+        assert capsys.readouterr().err == f"ERROR MissingFile: no such file: {missing}\n"
+        assert self.tree(tmp_path) == before
+
+    @pytest.mark.parametrize("command", ["extract", "select", "train", "predict",
+                                         "evaluate"])
+    def test_out_in_a_missing_directory(self, tmp_path, capsys, inputs, command):
+        # an output is not an input: its missing directory is FileAccess
+        out = str(tmp_path / "absent" / "out.txt")
+        before = self.tree(tmp_path)
+        assert cli.main(self.argv(command, out, inputs[command])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR FileAccess:") and err.count("\n") == 1
+        assert os.path.join("absent", "out.txt") in err
+        assert self.tree(tmp_path) == before
+
+    @pytest.mark.parametrize("read", [
+        lambda path: errors.read_lines(path, errors.MalformedRowError),
+        lambda path: mtl.read_selection(path, 30, 2),
+        ridge.read_model,
+    ], ids=["read_lines", "read_selection", "read_model"])
+    def test_text_reader_raises_missing_file(self, tmp_path, read):
+        missing = str(tmp_path / "absent")
+        with pytest.raises(errors.MissingFileError) as info:
+            read(missing)
+        assert str(info.value) == f"no such file: {missing}"
 
     def test_help_still_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:

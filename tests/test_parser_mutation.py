@@ -6,7 +6,7 @@ or a field replaced by ``nan``, ``1e400``, a NUL byte or an over-long
 field. Each mutant goes through ``cli.main`` with the subcommand that
 reads that kind of file. A run either exits 0, or prints exactly one
 ``ERROR <code>:`` line, with a code from ``glohage.errors`` (or the CLI's
-``MissingFile``/``FileAccess``), and leaves no file behind. No run may
+``FileAccess``), and leaves no file behind. No run may
 end in an exception the CLI does not map to such a line.
 """
 
@@ -26,7 +26,7 @@ CODES = {
     cls.code
     for _, cls in inspect.getmembers(errors, inspect.isclass)
     if issubclass(cls, errors.GlohError) and cls is not errors.GlohError
-} | {"MissingFile", "FileAccess"}
+} | {"FileAccess"}
 FIELDS = (b"nan", b"1e400", b"\x00", b"9" * 5000, b"x" * 200_000)
 SEPARATORS = b" \t\r\n,="  # between the fields of every text format read
 
